@@ -11,6 +11,7 @@ Exit status: 0 success (undefined entropy points are still success),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -119,8 +120,10 @@ def _tolerance_rule(cfg: dict) -> ToleranceRule:
     return ToleranceRule(mode=mode, value=float(cfg["r"]))
 
 
-def run_compute(cfg: dict) -> ResultFile:
-    data = _load_input(cfg)
+def run_compute(cfg: dict, data: MultichannelSeries | None = None) -> ResultFile:
+    """Compute the configured curve; data is the record if already loaded."""
+    if data is None:
+        data = _load_input(cfg)
     estimator = cfg["estimator"]
     params = EntropyParams(m=int(cfg["m"]), r=float(cfg["r"]), L=int(cfg["L"]),
                            scales=parse_values(cfg["scales"]))
@@ -411,9 +414,11 @@ def main(argv=None) -> int:
         _validate_common(args)
         cfg = _cfg_from_args(args)
         extra = {}
+        run = _RUNNERS[args.command]
         if args.command == "compute":
             # echo the resolved absolute tolerance before computing
             data = _load_input(cfg)
+            run = functools.partial(run_compute, data=data)
             rule = _tolerance_rule(cfg)
             chans = data.channels
             if args.estimator in ("mse", "sampen"):
@@ -422,7 +427,7 @@ def main(argv=None) -> int:
                 chans = _zscore(chans)
             extra["resolved_radius"] = repr(resolve_tolerance(chans, rule))
         _print_config(cfg, extra)
-        result = _RUNNERS[args.command](cfg)
+        result = run(cfg)
         write_result(result, args.output)
         print("wrote %s" % (args.output,))
         if getattr(args, "emit_plot", False):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .series import InvalidParameterError
 
@@ -103,9 +102,29 @@ def generate_ar(model: ArModel, n: int, seed=0, target_sd: float = 1.0) -> np.nd
         raise InvalidParameterError("target_sd must be > 0")
     rng = np.random.default_rng(seed)
     eps = model.innovation_sd * rng.standard_normal(n + model.burn_in)
-    denom = np.concatenate(([1.0], -np.asarray(model.coefficients)))
-    x = lfilter([1.0], denom, eps)[model.burn_in:]
+    x = _ar_filter(model.coefficients, eps)[model.burn_in:]
     return _rescale(x, target_sd)
+
+
+def _ar_filter(coefficients, eps: np.ndarray) -> np.ndarray:
+    """All-pole filter x_t = eps_t + sum_i a_i x_{t-i}, from zero initial state.
+
+    Runs the direct-form-II-transposed recursion with the operations in the
+    order of scipy.signal.lfilter([1], [1, -a_1, ..., -a_K], eps), so the
+    output is bit-identical to it: y = x + z_0, z_i = (0*x + z_{i+1}) - (-a_{i+1})*y.
+    """
+    if not coefficients:
+        return eps
+    neg = [-a for a in coefficients]
+    k = len(neg)
+    z = [0.0] * (k + 1)
+    out = []
+    for x in eps.tolist():
+        y = x + z[0]
+        for i in range(k):
+            z[i] = (0.0 * x + z[i + 1]) - neg[i] * y
+        out.append(y)
+    return np.array(out)
 
 
 def shuffle_surrogate(x, seed=0) -> np.ndarray:

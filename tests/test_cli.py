@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from vemse import load_record, read_result
+from vemse import MultichannelSeries, load_record, read_result, write_record
 from vemse.cli import CliConfigError, main, parse_values, replay
 
 
@@ -89,6 +89,31 @@ class TestCompute:
         assert code == 0
         rf = read_result(out)
         assert rf.rows[1][1] is None
+
+    def test_per_scale_constant_scale_is_undefined_not_exit_2(self, tmp_path, capsys):
+        rec = tmp_path / "alt.csv"
+        write_record(MultichannelSeries(np.tile([1.0, -1.0], 100)), rec)
+        out = tmp_path / "p.csv"
+        code, _, _ = run(capsys, "compute", "--input", str(rec), "--output", str(out),
+                         "--scales", "1..3", "--per-scale-tolerance")
+        assert code == 0
+        assert read_result(out).rows[1][1] is None
+
+    def test_record_parsed_once(self, record, tmp_path, capsys, monkeypatch):
+        import vemse.cli
+
+        calls = []
+
+        def counting_load(*args, **kwargs):
+            calls.append(args)
+            return load_record(*args, **kwargs)
+
+        monkeypatch.setattr(vemse.cli, "load_record", counting_load)
+        code, stdout, _ = run(capsys, "compute", "--input", str(record),
+                              "--output", str(tmp_path / "c.csv"), "--scales", "1..2")
+        assert code == 0
+        assert "config: resolved_radius = " in stdout
+        assert len(calls) == 1
 
     def test_emit_plot(self, record, tmp_path, capsys):
         out = tmp_path / "c.csv"

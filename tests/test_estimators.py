@@ -94,6 +94,14 @@ class TestVemse:
         # coarse graining shrinks the variance, so the radii differ
         assert fixed != per_scale
 
+    def test_per_scale_tolerance_constant_scale_undefined(self):
+        # alternating samples average to a constant at scale 2 only
+        data = MultichannelSeries(np.tile([1.0, -1.0], 200))
+        params = EntropyParams(m=2, r=0.15, scales=[1, 2, 3])
+        curve = vemse(data, params, per_scale_tolerance=True)
+        assert curve.values[1] is None and curve.probs[1] is None
+        assert curve.values[0] is not None and curve.values[2] is not None
+
     def test_normalize_flag(self):
         data = MultichannelSeries(np.stack([
             3.0 * generate_wgn(800, 1.0, 1), generate_wgn(800, 1.0, 2)]))

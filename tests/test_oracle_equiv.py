@@ -1,21 +1,32 @@
 """Estimators vs the independent brute-force oracles at small N."""
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vemse import (
     EntropyParams,
     MultichannelSeries,
     ToleranceRule,
+    build_templates,
     coarse_grain,
+    match_stats,
     mmse,
     sampen,
     vemse,
 )
+from vemse import estimators
+from vemse.estimators import _curve_point, _pair_counts
 from oracles import (
     naive_coarse_grain,
+    naive_counts,
     naive_mmse,
     naive_phi,
     naive_sampen,
+    naive_templates,
     naive_vemse,
 )
 
@@ -94,3 +105,47 @@ def test_undefinedness_monotone_in_dimension():
                 seen_zero += 1
                 assert hi == 0
     assert seen_zero > 0  # the property was actually exercised
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=st.booleans(), p=st.integers(1, 3), m=st.integers(1, 3), lag=st.integers(1, 3),
+       extra=st.integers(-1, 30), equal=st.booleans(), block=st.sampled_from([1, 7, 64, 1 << 15]),
+       data=st.data())
+def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, block, data):
+    # Tie-heavy data puts many distances exactly on the radius: 0.1-grid
+    # values (differences one rounding step off the grid radius) or
+    # integers with an integer radius. extra = 0 leaves the last channel
+    # exactly two templates in its second pass; extra = -1 leaves one.
+    # Small blocks split the diagonals over many sweep steps.
+    dims = [m + c for c in range(p)]
+    n = dims[-1] * lag + 2 + extra
+    levels = st.integers(-4, 4) if grid else st.integers(-3, 3)
+    ints = data.draw(st.lists(st.lists(levels, min_size=n, max_size=n), min_size=p, max_size=p))
+    chans = np.array(ints) * 0.1 if grid else np.array(ints, dtype=float)
+    radius = data.draw(st.sampled_from([0.1, 0.2, 0.3] if grid else [1.0, 2.0]))
+    caps = [n - d * lag for d in dims] if equal else [None] * p
+
+    with mock.patch.object(estimators, "_BLOCK_CELLS", block):
+        lo, hi = _pair_counts(chans, lag, radius, dims, caps)
+        _, probs = _curve_point(chans, m, lag, radius, equal)
+        stats = match_stats(build_templates(chans[0], dims[0], lag), radius)
+    want = [0.0, 0.0]
+    for c, d in enumerate(dims):
+        y = chans[c].tolist()
+        for k, (count, dim, cap) in enumerate(((lo[c], d, caps[c]), (hi[c], d + 1, None))):
+            templates = naive_templates(y, dim, lag)[:cap]
+            t = len(templates)
+            matches = sum(naive_counts(templates, radius))
+            assert 2 * count == matches
+            if t >= 2:
+                phi = float(Fraction(matches, t * (t - 1)))
+                assert phi == pytest.approx(naive_phi(y, dim, lag, radius, cap), abs=1e-12)
+                want[k] += phi
+
+    if extra < 0:
+        assert probs is None
+        assert naive_phi(chans[-1].tolist(), dims[-1] + 1, lag, radius) is None
+    else:
+        assert probs == tuple(want)
+    assert stats.counts.tolist() == naive_counts(
+        naive_templates(chans[0].tolist(), dims[0], lag), radius)

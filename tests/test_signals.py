@@ -86,6 +86,18 @@ class TestAr:
         x = generate_ar(AR3, 2000, 23)
         assert x.std(ddof=1) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("model", [AR1, AR2, AR3, ArModel((0.9, -0.2, 0.05, 0.01))])
+    def test_bit_identical_to_lfilter(self, model):
+        from scipy.signal import lfilter
+
+        for seed in range(20):
+            eps = np.random.default_rng(seed).standard_normal(5000 + model.burn_in)
+            denom = np.concatenate(([1.0], -np.asarray(model.coefficients)))
+            want = lfilter([1.0], denom, eps)[model.burn_in:]
+            want = want * (1.0 / want.std(ddof=1))
+            got = generate_ar(model, 5000, seed)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestSurrogate:
     def test_multiset_preserved(self):
