@@ -2,8 +2,10 @@
 
 Every command prints its fully resolved configuration (defaults
 included) before computing, writes its data in the CSV result format,
-and is byte-for-byte reproducible given an explicit seed. The metadata
-block of an output file is sufficient to replay the run (see replay()).
+and is byte-for-byte reproducible given an explicit seed. compute also
+prints the radius its curve matched with, when one radius served every
+scale. The metadata block of an output file is sufficient to replay the
+run (see replay()).
 
 Exit status: 0 success (undefined entropy points are still success),
 2 invalid configuration, 3 input parse error.
@@ -11,7 +13,6 @@ Exit status: 0 success (undefined entropy points are still success),
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 import numpy as np
@@ -23,12 +24,14 @@ from .dataio import (
     ensemble_to_resultfile,
     load_record,
     read_result,
+    record_to_resultfile,
     timing_to_resultfile,
     write_result,
 )
-from .estimators import mmse, resolve_tolerance, vemse, _zscore
+from .estimators import mmse, vemse
 from .series import (
     DegenerateToleranceError,
+    EntropyCurve,
     EntropyParams,
     InvalidParameterError,
     MultichannelSeries,
@@ -94,10 +97,8 @@ def _flag(cfg: dict, key: str) -> bool:
     return cfg.get(key, "false") == "true"
 
 
-def _print_config(cfg: dict, extra: dict | None = None) -> None:
+def _print_config(cfg: dict) -> None:
     for key, value in cfg.items():
-        print("config: %s = %s" % (key, value))
-    for key, value in (extra or {}).items():
         print("config: %s = %s" % (key, value))
 
 
@@ -120,10 +121,7 @@ def _tolerance_rule(cfg: dict) -> ToleranceRule:
     return ToleranceRule(mode=mode, value=float(cfg["r"]))
 
 
-def run_compute(cfg: dict, data: MultichannelSeries | None = None) -> ResultFile:
-    """Compute the configured curve; data is the record if already loaded."""
-    if data is None:
-        data = _load_input(cfg)
+def _compute_curve(cfg: dict, data: MultichannelSeries) -> EntropyCurve:
     estimator = cfg["estimator"]
     params = EntropyParams(m=int(cfg["m"]), r=float(cfg["r"]), L=int(cfg["L"]),
                            scales=parse_values(cfg["scales"]))
@@ -139,6 +137,11 @@ def run_compute(cfg: dict, data: MultichannelSeries | None = None) -> ResultFile
                       equal_template_count=_flag(cfg, "equal_template_count"))
     else:
         raise CliConfigError("--estimator must be one of sampen, mse, mmse, vemse")
+    return curve
+
+
+def run_compute(cfg: dict) -> ResultFile:
+    curve = _compute_curve(cfg, _load_input(cfg))
     return curve_to_resultfile(curve, metadata=dict(cfg))
 
 
@@ -183,12 +186,9 @@ def run_generate(cfg: dict) -> ResultFile:
         raise CliConfigError("--sd must be > 0")
     seed = int(cfg["seed"])
     channels = int(cfg.get("channels", "1"))
-    rows_by_ch = [sd * experiments.generate_channel(kind, n, (seed, 0, c))
-                  for c in range(channels)]
-    data = np.stack(rows_by_ch)
-    columns = ["ch%d" % c for c in range(channels)]
-    rows = [list(map(float, data[:, i])) for i in range(n)]
-    return ResultFile(metadata=dict(cfg), columns=columns, rows=rows)
+    data = np.stack([sd * experiments.generate_channel(kind, n, (seed, 0, c))
+                     for c in range(channels)])
+    return record_to_resultfile(data, metadata=cfg)
 
 
 def run_surrogate(cfg: dict) -> ResultFile:
@@ -196,9 +196,7 @@ def run_surrogate(cfg: dict) -> ResultFile:
     seed = int(cfg["seed"])
     shuffled = np.stack([shuffle_surrogate(data.channels[c], (seed, c))
                          for c in range(data.n_channels)])
-    labels = data.channel_labels or ["ch%d" % c for c in range(data.n_channels)]
-    rows = [list(map(float, shuffled[:, i])) for i in range(shuffled.shape[1])]
-    return ResultFile(metadata=dict(cfg), columns=labels, rows=rows)
+    return record_to_resultfile(shuffled, data.channel_labels, cfg)
 
 
 def run_bench(cfg: dict) -> ResultFile:
@@ -359,15 +357,14 @@ def _validate_common(args) -> None:
                              ("--n", getattr(args, "n", None), 1),
                              ("--channels", getattr(args, "channels", None), 1),
                              ("--realizations", getattr(args, "realizations", None), 1),
-                             ("--runs", getattr(args, "runs", None), 1)):
+                             ("--runs", getattr(args, "runs", None), 1),
+                             ("--max-rows", getattr(args, "max_rows", None), 1),
+                             ("--offset", getattr(args, "offset", None), 0)):
         if value is not None and value < low:
             raise CliConfigError("%s must be >= %d, got %d" % (flag, low, value))
     r = getattr(args, "r", None)
     if r is not None and r <= 0:
         raise CliConfigError("--r must be > 0, got %r" % (r,))
-    max_rows = getattr(args, "max_rows", None)
-    if max_rows is not None and max_rows < 1:
-        raise CliConfigError("--max-rows must be >= 1")
 
 
 def _cfg_from_args(args) -> dict:
@@ -413,21 +410,14 @@ def main(argv=None) -> int:
             return 0
         _validate_common(args)
         cfg = _cfg_from_args(args)
-        extra = {}
-        run = _RUNNERS[args.command]
+        _print_config(cfg)
         if args.command == "compute":
-            # echo the resolved absolute tolerance before computing
-            data = _load_input(cfg)
-            run = functools.partial(run_compute, data=data)
-            rule = _tolerance_rule(cfg)
-            chans = data.channels
-            if args.estimator in ("mse", "sampen"):
-                chans = chans[:1]
-            if args.estimator == "mmse" or _flag(cfg, "normalize"):
-                chans = _zscore(chans)
-            extra["resolved_radius"] = repr(resolve_tolerance(chans, rule))
-        _print_config(cfg, extra)
-        result = run(cfg)
+            curve = _compute_curve(cfg, _load_input(cfg))
+            if curve.radius is not None:
+                print("config: resolved_radius = %r" % (curve.radius,))
+            result = curve_to_resultfile(curve, metadata=dict(cfg))
+        else:
+            result = _RUNNERS[args.command](cfg)
         write_result(result, args.output)
         print("wrote %s" % (args.output,))
         if getattr(args, "emit_plot", False):

@@ -8,13 +8,22 @@ decimal that round-trips, so replayed runs are bit-faithful.
 """
 from __future__ import annotations
 
+import math
 import os
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .experiments import EnsembleResult, TimingReport
-from .series import EntropyCurve, MultichannelSeries, RecordParseError, VemseError
+from .series import (
+    EntropyCurve,
+    InvalidParameterError,
+    MultichannelSeries,
+    RecordParseError,
+    VemseError,
+)
 
 __all__ = [
     "ResultFile",
@@ -22,6 +31,7 @@ __all__ = [
     "write_record",
     "write_result",
     "read_result",
+    "record_to_resultfile",
     "curve_to_resultfile",
     "curve_from_resultfile",
     "ensemble_to_resultfile",
@@ -55,6 +65,9 @@ def _format_cell(v) -> str:
 def _parse_cell(s: str):
     if s == "":
         return None
+    if not s.isascii() or "_" in s or s != s.strip():
+        # int() and float() would read "1_0", " 7" and non-ASCII digits
+        return s
     try:
         return int(s)
     except ValueError:
@@ -65,8 +78,29 @@ def _parse_cell(s: str):
         return s
 
 
+def _unwritable(result: ResultFile):
+    """Why read_result could not give `result` back unchanged, or None."""
+    for key, value in result.metadata.items():
+        if any(c in "%s%s" % (key, value) for c in "\n\r"):
+            return "metadata %r = %r holds a line break" % (key, value)
+    for label in result.columns:
+        if any(c in label for c in ",\n\r"):
+            return "column label %r holds a comma or a line break" % (label,)
+    if result.columns and result.columns[0].startswith("#"):
+        return "first column label %r would read back as metadata" % (result.columns[0],)
+    return None
+
+
 def write_result(result: ResultFile, path) -> None:
-    """Write a ResultFile; read_result(write_result(r)) == r."""
+    """Write a ResultFile; read_result(write_result(r)) == r.
+
+    A metadata key or value with a line break, a column label with a comma
+    or a line break, and a first label starting with "#" would not read
+    back, so they raise VemseError and nothing is written.
+    """
+    problem = _unwritable(result)
+    if problem is not None:
+        raise VemseError("cannot write %s: %s" % (path, problem))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for key, value in result.metadata.items():
@@ -78,44 +112,98 @@ def write_result(result: ResultFile, path) -> None:
         raise VemseError("cannot write %s: %s" % (path, exc)) from exc
 
 
-def read_result(path) -> ResultFile:
+def _read_table(path, max_lines=None):
+    """Metadata, header labels and the non-empty data lines of a result file.
+
+    Reading stops after max_lines data lines when it is given.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            lines = (line.rstrip("\n") for line in fh)
+            metadata = {}
+            header = next(lines, "")
+            while header.startswith("#"):
+                key, _, value = header[1:].strip().partition("=")
+                metadata[key.strip()] = value.strip()
+                header = next(lines, "")
+            if header == "":
+                raise RecordParseError("%s: missing header row" % (path,))
+            data = list(islice(filter(None, lines), max_lines))
     except OSError as exc:
         raise VemseError("cannot read %s: %s" % (path, exc)) from exc
-    metadata = {}
-    i = 0
-    while i < len(lines) and lines[i].startswith("#"):
-        body = lines[i][1:].strip()
-        key, _, value = body.partition("=")
-        metadata[key.strip()] = value.strip()
-        i += 1
-    if i >= len(lines) or lines[i] == "":
-        raise RecordParseError("%s: missing header row" % (path,))
-    columns = lines[i].split(",")
-    rows = []
-    for line in lines[i + 1:]:
-        if line == "":
-            continue
-        rows.append([_parse_cell(c) for c in line.split(",")])
+    except UnicodeDecodeError as exc:
+        raise RecordParseError("%s: not UTF-8 text: %s" % (path, exc)) from exc
+    return metadata, header.split(","), data
+
+
+def read_result(path) -> ResultFile:
+    metadata, columns, lines = _read_table(path)
+    rows = [[_parse_cell(c) for c in line.split(",")] for line in lines]
     return ResultFile(metadata=metadata, columns=columns, rows=rows)
 
 
 # -- record files (raw multichannel samples) --------------------------------
 
+def record_to_resultfile(channels: np.ndarray, labels=None, metadata=None) -> ResultFile:
+    """A (P, N) sample array as a table: one column per channel, one row per sample."""
+    labels = labels or ["ch%d" % c for c in range(channels.shape[0])]
+    return ResultFile(metadata=dict(metadata or {}), columns=list(labels),
+                      rows=channels.T.tolist())
+
+
 def write_record(series: MultichannelSeries, path) -> None:
     """Write a multichannel record: one column per channel, one row per sample."""
-    labels = series.channel_labels or ["ch%d" % c for c in range(series.n_channels)]
     metadata = {}
     if series.sample_rate_hz is not None:
         metadata["sample_rate_hz"] = repr(float(series.sample_rate_hz))
-    rows = [list(map(float, series.channels[:, i])) for i in range(series.n_samples)]
-    write_result(ResultFile(metadata=metadata, columns=labels, rows=rows), path)
+    write_result(record_to_resultfile(series.channels, series.channel_labels, metadata), path)
+
+
+# A record cell: an ASCII decimal number, sign and exponent optional.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# The bytes that data lines of such cells may hold. np.loadtxt would also
+# take whitespace-padded cells, so lines holding any other byte skip it and
+# go to _bad_cell_error, which applies _DECIMAL cell by cell.
+_DECIMAL_BYTES = b"0123456789eE.+-,"
+
+
+def _bad_cell_error(lines, p: int, path) -> RecordParseError:
+    """The error for the first ragged row or bad cell among the data lines."""
+    for rno, line in enumerate(lines, 1):
+        cells = line.split(",")
+        if len(cells) != p:
+            return RecordParseError(
+                "%s: row %d has %d values, expected %d" % (path, rno, len(cells), p))
+        for cno, cell in enumerate(cells, 1):
+            if not _DECIMAL.fullmatch(cell) or not math.isfinite(float(cell)):
+                return RecordParseError(
+                    "%s: row %d, column %d: not a finite number: %r"
+                    % (path, rno, cno, _parse_cell(cell)))
+    return RecordParseError("%s: cannot parse the data rows" % (path,))
+
+
+def _parse_samples(lines, p: int, path) -> np.ndarray:
+    """Data lines of P cells each as an (n, P) array of finite floats."""
+    if not ",".join(lines).encode().translate(None, _DECIMAL_BYTES):
+        try:
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if data.shape[1] == p and np.isfinite(data).all():
+                return data
+    raise _bad_cell_error(lines, p, path)
 
 
 def load_record(path, columns=None, max_rows=None, offset: int = 0) -> MultichannelSeries:
     """Load a multichannel record from CSV.
+
+    The file is a result file (see write_result) whose header labels the
+    channels and whose data rows hold one cell per channel. A cell is an
+    ASCII decimal number with a finite value: an optional sign, digits
+    with an optional decimal point (or a point and digits), and an
+    optional exponent, as in "-0", "1.5", ".5" or "2e-3". Spaces,
+    underscores, other digits, empty cells, "nan" and "inf" are refused.
 
     Parameters
     ----------
@@ -123,32 +211,27 @@ def load_record(path, columns=None, max_rows=None, offset: int = 0) -> Multichan
         Select and order channels (indices or header labels); selection
         order becomes channel order, which matters for directionality.
     max_rows : int, optional
-        Keep at most this many samples.
+        Keep at most this many samples (>= 1). Only the first
+        offset + max_rows data rows are read and checked; rows past them
+        are never looked at.
     offset : int
-        Skip this many leading samples before counting max_rows.
+        Skip this many leading samples (>= 0) before counting max_rows.
+        The skipped rows are still checked.
 
-    Ragged rows and non-numeric cells raise RecordParseError with the
-    offending coordinates; an empty file raises RecordParseError.
+    Ragged rows and bad cells raise RecordParseError with the offending
+    row (counted over non-empty data lines) and column; an empty file
+    raises RecordParseError.
     """
+    if offset < 0 or (max_rows is not None and max_rows < 1):
+        raise InvalidParameterError(
+            "need offset >= 0 and max_rows >= 1, got %r and %r" % (offset, max_rows))
     if not os.path.exists(path):
         raise VemseError("no such record file: %s" % (path,))
-    rf = read_result(path)
-    labels = rf.columns
-    if not rf.rows:
+    metadata, labels, lines = _read_table(path, None if max_rows is None else offset + max_rows)
+    if not lines:
         raise RecordParseError("%s: no data rows" % (path,))
     p = len(labels)
-    data = np.empty((len(rf.rows), p))
-    for rno, row in enumerate(rf.rows):
-        if len(row) != p:
-            raise RecordParseError(
-                "%s: row %d has %d values, expected %d" % (path, rno + 1, len(row), p))
-        for cno, cell in enumerate(row):
-            if not isinstance(cell, (int, float)) or isinstance(cell, bool) \
-                    or not np.isfinite(cell):
-                raise RecordParseError(
-                    "%s: row %d, column %d: not a finite number: %r"
-                    % (path, rno + 1, cno + 1, cell))
-            data[rno, cno] = cell
+    data = _parse_samples(lines, p, path)
     if columns is not None:
         sel = []
         for col in columns:
@@ -163,11 +246,9 @@ def load_record(path, columns=None, max_rows=None, offset: int = 0) -> Multichan
         data = data[:, sel]
         labels = [labels[i] for i in sel]
     data = data[offset:]
-    if max_rows is not None:
-        data = data[:max_rows]
     if data.shape[0] < 1:
         raise RecordParseError("%s: selection leaves no samples" % (path,))
-    rate = rf.metadata.get("sample_rate_hz")
+    rate = metadata.get("sample_rate_hz")
     return MultichannelSeries(
         channels=data.T.copy(),
         channel_labels=labels,

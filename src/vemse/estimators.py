@@ -319,7 +319,8 @@ def vemse(
     classic sample-entropy convention; off by default, which follows the
     literal two-pass counting.
 
-    Returns an EntropyCurve with the probability sums attached.
+    Returns an EntropyCurve with the probability sums and, unless it was
+    resolved per scale, the radius attached.
     """
     if not isinstance(data, MultichannelSeries):
         data = MultichannelSeries(data)
@@ -345,7 +346,8 @@ def vemse(
         value, pr = _curve_point(cg, params.m, params.L, r_abs, equal_template_count)
         values.append(value)
         probs.append(pr)
-    return EntropyCurve(scales=list(params.scales), values=values, probs=probs)
+    return EntropyCurve(scales=list(params.scales), values=values, probs=probs,
+                        radius=radius)
 
 
 def mse(x, params: EntropyParams, rule: ToleranceRule | None = None, **flags) -> EntropyCurve:
@@ -455,4 +457,4 @@ def mmse(
             values.append(None)
         else:
             values.append(-math.log(phi_star / phi))
-    return EntropyCurve(scales=scales, values=values, probs=probs)
+    return EntropyCurve(scales=scales, values=values, probs=probs, radius=radius)

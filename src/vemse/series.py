@@ -135,6 +135,8 @@ class EntropyCurve:
     values[i] is a float or None; None marks an undefined estimate (no
     template matches, or an infeasible scale). probs[i], when present,
     carries the (phi_m, phi_m_plus_1) probability sums behind the value.
+    radius, when present, is the absolute matching radius every scale
+    used; it is None when the radius was resolved per scale.
     Negative values are possible with the literal two-pass template
     counts and are reported as-is, never clamped.
     """
@@ -142,6 +144,7 @@ class EntropyCurve:
     scales: list[int]
     values: list[float | None]
     probs: list[tuple[float, float] | None] | None = None
+    radius: float | None = None
 
     def __post_init__(self):
         if len(self.scales) != len(self.values):

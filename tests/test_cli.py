@@ -2,7 +2,15 @@
 import numpy as np
 import pytest
 
-from vemse import MultichannelSeries, load_record, read_result, write_record
+from vemse import (
+    MultichannelSeries,
+    ToleranceRule,
+    coarse_grain,
+    load_record,
+    read_result,
+    resolve_tolerance,
+    write_record,
+)
 from vemse.cli import CliConfigError, main, parse_values, replay
 
 
@@ -66,6 +74,27 @@ class TestCompute:
         assert code == 3
         assert "row" in stderr
 
+    @pytest.mark.parametrize("content, where", [
+        (b"a,b\n1,2\n3," + b"9" * 400 + b"\n", "row 2, column 2: not a finite number"),
+        (b"a,b\n1,1_0\n", "row 1, column 2: not a finite number: '1_0'"),
+        (b"a,b\n 7,1\n", "row 1, column 1: not a finite number: ' 7'"),
+        (b"a,b\n1,\xff\n", "not UTF-8"),
+    ], ids=["huge-integer", "underscore", "padded", "not-utf8"])
+    def test_bad_cells_exit_3_with_coordinates(self, tmp_path, capsys, content, where):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        code, _, stderr = run(capsys, "compute", "--input", str(bad),
+                              "--output", str(tmp_path / "x.csv"))
+        assert code == 3
+        assert where in stderr
+        assert "Traceback" not in stderr
+
+    def test_negative_offset_exits_2(self, record, tmp_path, capsys):
+        code, _, stderr = run(capsys, "compute", "--input", str(record), "--offset", "-1",
+                              "--output", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "--offset" in stderr
+
     def test_single_channel_vemse_equals_mse(self, tmp_path, capsys):
         rec = tmp_path / "one.csv"
         assert run(capsys, "generate", "--kind", "wgn", "--n", "500",
@@ -114,6 +143,50 @@ class TestCompute:
         assert code == 0
         assert "config: resolved_radius = " in stdout
         assert len(calls) == 1
+
+    @pytest.fixture
+    def ar1_record(self, tmp_path, capsys):
+        path = tmp_path / "ar1.csv"
+        assert main(["generate", "--kind", "ar1", "--n", "400", "--channels", "2",
+                     "--seed", "3", "--output", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["--estimator", "vemse"],
+         lambda chans: resolve_tolerance(chans, ToleranceRule.trace(0.15))),
+        (["--estimator", "mse"],
+         lambda chans: resolve_tolerance(chans[:1], ToleranceRule.trace(0.15))),
+        # z-scored channels: the trace is the channel count
+        (["--estimator", "mmse"], lambda chans: pytest.approx(0.15 * 2, rel=1e-12)),
+        (["--estimator", "vemse", "--normalize"],
+         lambda chans: pytest.approx(0.15 * 2, rel=1e-12)),
+    ], ids=["vemse", "mse", "mmse", "vemse-normalize"])
+    def test_echoed_radius_is_the_one_the_curve_used(self, ar1_record, tmp_path, capsys,
+                                                      flags, expected):
+        code, stdout, _ = run(capsys, "compute", "--input", str(ar1_record), "--r", "0.15",
+                              "--scales", "1..3", "--output", str(tmp_path / "c.csv"), *flags)
+        assert code == 0
+        echoed = [line for line in stdout.splitlines() if "resolved_radius" in line]
+        assert len(echoed) == 1
+        radius = float(echoed[0].rpartition("=")[2])
+        assert radius == expected(load_record(ar1_record).channels)
+
+    def test_per_scale_tolerance_echoes_no_radius(self, ar1_record, tmp_path, capsys):
+        # scales 2 and 3 match with radii of their own, smaller than scale 1's
+        chans = load_record(ar1_record).channels
+        rule = ToleranceRule.trace(0.15)
+        radii = [resolve_tolerance(np.stack([coarse_grain(c, tau) for c in chans]), rule)
+                 for tau in (1, 2, 3)]
+        assert radii[0] > radii[1] > radii[2]
+        out = tmp_path / "p.csv"
+        code, stdout, _ = run(capsys, "compute", "--input", str(ar1_record),
+                              "--output", str(out), "--scales", "1..3",
+                              "--per-scale-tolerance")
+        assert code == 0
+        assert "resolved_radius" not in stdout
+        assert "config: per_scale_tolerance = true" in stdout
+        assert len(read_result(out).rows) == 3
 
     def test_emit_plot(self, record, tmp_path, capsys):
         out = tmp_path / "c.csv"
