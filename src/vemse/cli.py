@@ -1,11 +1,13 @@
-"""Command-line front end: compute, sweep, generate, bench, surrogate.
+"""Command-line front end: compute, sweep, generate, bench, surrogate, replay.
 
-Every command prints its fully resolved configuration (defaults
+Each subcommand's options are declared once, in _OPTIONS; the flags, the
+echoed configuration, the metadata and replay all derive from it. Every
+run checks its options, prints its fully resolved configuration (defaults
 included) before computing, writes its data in the CSV result format,
 and is byte-for-byte reproducible given an explicit seed. compute also
 prints the radius its curve matched with, when one radius served every
 scale. The metadata block of an output file is sufficient to replay the
-run (see replay()).
+run (see replay()), which goes through the same checks and echo.
 
 Exit status: 0 success (undefined entropy points are still success),
 2 invalid configuration, 3 input parse error.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,11 +34,9 @@ from .dataio import (
 from .estimators import mmse, vemse
 from .series import (
     DegenerateToleranceError,
-    EntropyCurve,
     EntropyParams,
     InvalidParameterError,
     MultichannelSeries,
-    RecordParseError,
     ToleranceRule,
     VemseError,
 )
@@ -93,125 +94,209 @@ def parse_values(spec: str):
     return out
 
 
-def _flag(cfg: dict, key: str) -> bool:
-    return cfg.get(key, "false") == "true"
+def _spec(text: str) -> str:
+    """A list option (scales, values, models, columns) as written, unpadded."""
+    return text.strip()
 
 
-def _print_config(cfg: dict) -> None:
-    for key, value in cfg.items():
-        print("config: %s = %s" % (key, value))
+_REQUIRED = object()
 
 
-# -- command bodies (driven by a flat string config so replay can rerun them)
+class _Opt(NamedTuple):
+    """One option: --key on the command line, key in the echo and the metadata.
 
-def _load_input(cfg: dict) -> MultichannelSeries:
+    A bool option is a flag. choices bound the value, or each comma-separated
+    item of a list option. low is the least int allowed; a float must be
+    finite and greater than its low.
+    """
+
+    key: str
+    type: type
+    default: object = _REQUIRED
+    help: str = ""
+    choices: tuple = ()
+    low: float | None = None
+
+
+_ESTIMATOR = _Opt("estimator", str, "vemse", choices=("sampen", "mse", "mmse", "vemse"))
+_M = _Opt("m", int, 2, "base embedding dimension", low=1)
+_R = _Opt("r", float, 0.15, "tolerance quotient (or absolute radius with "
+          "--tolerance-mode absolute)", low=0)
+_L = _Opt("L", int, 1, "time lag", low=1)
+_SEED = _Opt("seed", int, 0, low=0)
+_RECORD = (
+    _Opt("input", str, help="record CSV path"),
+    _Opt("columns", _spec, "", "channel selection (labels or indices)"),
+    _Opt("max_rows", int, None, low=1),
+    _Opt("offset", int, 0, low=0),
+)
+
+# Each subcommand's options, in the order they are echoed and written as
+# metadata. Every subcommand also takes --output, which is not replayed.
+_OPTIONS = {
+    "compute": (_ESTIMATOR,) + _RECORD + (
+        _M, _R, _L,
+        _Opt("scales", _spec, "1", "scale list, e.g. 1..20"),
+        _Opt("tolerance_mode", str, "covariance_trace",
+             choices=("covariance_trace", "absolute")),
+        _Opt("normalize", bool, False),
+        _Opt("per_scale_tolerance", bool, False),
+        _Opt("equal_template_count", bool, False),
+    ),
+    "sweep": (
+        _ESTIMATOR,
+        _Opt("vary", str, choices=("m", "N", "r", "scale")),
+        _Opt("values", _spec),
+        _Opt("models", _spec, "wgn,flicker,ar1,ar2,ar3", choices=experiments.MODEL_KINDS),
+        _Opt("channels", int, 2, low=1),
+        _M, _R, _L,
+        _Opt("n", int, 1000, "samples per channel", low=1),
+        _Opt("tau", int, 1, "fixed scale when not swept"),
+        _Opt("realizations", int, 20, low=1),
+        _SEED,
+    ),
+    "generate": (
+        _Opt("kind", str, choices=experiments.MODEL_KINDS),
+        _Opt("n", int, low=1),
+        _Opt("sd", float, 1.0, low=0),
+        _SEED,
+        _Opt("channels", int, 1, low=1),
+    ),
+    "surrogate": _RECORD + (_SEED,),
+    "bench": (
+        _Opt("vary", str, choices=("scale", "N", "channels", "m")),
+        _Opt("values", _spec),
+        _Opt("n", int, 5000, low=1),
+        _Opt("channels", int, 2, low=1),
+        _M,
+        _Opt("tau", int, 1),
+        _R,
+        _Opt("runs", int, 10, low=1),
+        _SEED,
+    ),
+    "replay": (_Opt("input", str, help="result CSV to re-run"),),
+}
+
+_SUMMARIES = {
+    "compute": "compute an entropy curve from a record file",
+    "sweep": "ensemble parameter sweep on synthetic models",
+    "generate": "write a synthetic record file",
+    "surrogate": "shuffle-surrogate of a record file",
+    "bench": "vemse vs mmse wall-clock benchmark",
+    "replay": "re-run a result file from its metadata",
+}
+_PLOTTED = ("compute", "sweep", "bench")
+
+
+def _flag_name(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _text(value) -> str:
+    """An option value as the string echoed and written as metadata."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
+
+
+def _values(cfg: dict) -> dict:
+    """The typed option values of a string config, checked against the table."""
+    values = {}
+    for opt in _OPTIONS[cfg["command"]]:
+        flag, text = _flag_name(opt.key), cfg[opt.key]
+        if opt.type is bool:
+            if text not in ("true", "false"):
+                raise CliConfigError("%s must be true or false, got %r" % (flag, text))
+            value = text == "true"
+        elif text == "" and opt.default is None:
+            value = None
+        else:
+            try:
+                value = opt.type(text)
+            except ValueError:
+                raise CliConfigError("%s: %r is not a valid %s"
+                                     % (flag, text, opt.type.__name__)) from None
+        if opt.type is float and not (value > opt.low and np.isfinite(value)):
+            raise CliConfigError("%s must be finite and > %g, got %r" % (flag, opt.low, value))
+        if opt.type is int and opt.low is not None and value is not None \
+                and value < opt.low:
+            raise CliConfigError("%s must be >= %d, got %d" % (flag, opt.low, value))
+        if opt.choices:
+            items = value.split(",") if opt.type is _spec else [value]
+            for item in items:
+                if item.strip() not in opt.choices:
+                    raise CliConfigError("%s must be one of %s, got %r"
+                                         % (flag, ", ".join(opt.choices), item))
+        values[opt.key] = value
+    return values
+
+
+# -- command bodies: each takes the typed values and the string config it
+# writes as metadata, so replay reruns them from a result file
+
+def _load_input(values: dict) -> MultichannelSeries:
     columns = None
-    if cfg.get("columns"):
-        columns = []
-        for tok in cfg["columns"].split(","):
-            tok = tok.strip()
-            columns.append(int(tok) if tok.lstrip("-").isdigit() else tok)
-    max_rows = int(cfg["max_rows"]) if cfg.get("max_rows") else None
-    offset = int(cfg.get("offset", "0"))
-    return load_record(cfg["input"], columns=columns, max_rows=max_rows, offset=offset)
+    if values["columns"]:
+        columns = [int(tok) if tok.lstrip("-").isdigit() else tok
+                   for tok in (t.strip() for t in values["columns"].split(","))]
+    return load_record(values["input"], columns=columns, max_rows=values["max_rows"],
+                       offset=values["offset"])
 
 
-def _tolerance_rule(cfg: dict) -> ToleranceRule:
-    mode = cfg.get("tolerance_mode", "covariance_trace")
-    return ToleranceRule(mode=mode, value=float(cfg["r"]))
-
-
-def _compute_curve(cfg: dict, data: MultichannelSeries) -> EntropyCurve:
-    estimator = cfg["estimator"]
-    params = EntropyParams(m=int(cfg["m"]), r=float(cfg["r"]), L=int(cfg["L"]),
-                           scales=parse_values(cfg["scales"]))
-    rule = _tolerance_rule(cfg)
+def run_compute(values: dict, cfg: dict) -> ResultFile:
+    data = _load_input(values)
+    estimator = values["estimator"]
+    params = EntropyParams(m=values["m"], r=values["r"], L=values["L"],
+                           scales=parse_values(values["scales"]))
+    rule = ToleranceRule(mode=values["tolerance_mode"], value=values["r"])
     if estimator == "mmse":
         curve = mmse(data, [params.m] * data.n_channels, rule, scales=params.scales)
-    elif estimator in ("vemse", "mse", "sampen"):
-        use = data if estimator == "vemse" else MultichannelSeries(
-            data.channels[:1], sample_rate_hz=data.sample_rate_hz)
-        curve = vemse(use, params, rule,
-                      normalize=_flag(cfg, "normalize"),
-                      per_scale_tolerance=_flag(cfg, "per_scale_tolerance"),
-                      equal_template_count=_flag(cfg, "equal_template_count"))
     else:
-        raise CliConfigError("--estimator must be one of sampen, mse, mmse, vemse")
-    return curve
+        if estimator != "vemse":
+            data = MultichannelSeries(data.channels[:1], sample_rate_hz=data.sample_rate_hz)
+        curve = vemse(data, params, rule,
+                      normalize=values["normalize"],
+                      per_scale_tolerance=values["per_scale_tolerance"],
+                      equal_template_count=values["equal_template_count"])
+    if curve.radius is not None:
+        print("config: resolved_radius = %r" % (curve.radius,))
+    return curve_to_resultfile(curve, metadata=cfg)
 
 
-def run_compute(cfg: dict) -> ResultFile:
-    curve = _compute_curve(cfg, _load_input(cfg))
-    return curve_to_resultfile(curve, metadata=dict(cfg))
-
-
-def _bundles_from_cfg(cfg: dict):
-    channels = int(cfg.get("channels", "2"))
-    bundles = []
-    for kind in cfg["models"].split(","):
-        kind = kind.strip()
-        if kind not in experiments.MODEL_KINDS:
-            raise CliConfigError("unknown model kind %r (choose from %s)"
-                                 % (kind, ", ".join(experiments.MODEL_KINDS)))
-        bundles.append(experiments.ModelBundle.homogeneous(kind, channels))
-    return bundles
-
-
-def run_sweep(cfg: dict) -> ResultFile:
+def run_sweep(values: dict, cfg: dict) -> ResultFile:
     spec = experiments.SweepSpec(
-        estimator=cfg["estimator"],
-        swept_parameter=cfg["vary"],
-        sweep_values=parse_values(cfg["values"]),
-        bundles=_bundles_from_cfg(cfg),
-        m=int(cfg["m"]),
-        r=float(cfg["r"]),
-        lag=int(cfg["L"]),
-        n_samples=int(cfg["n"]),
-        tau=int(cfg.get("tau", "1")),
-        realizations=int(cfg["realizations"]),
-        base_seed=int(cfg["seed"]),
-    )
-    result = experiments.run_sweep(spec)
-    return ensemble_to_resultfile(result, metadata=dict(cfg))
+        estimator=values["estimator"],
+        swept_parameter=values["vary"],
+        sweep_values=parse_values(values["values"]),
+        bundles=[experiments.ModelBundle.homogeneous(kind.strip(), values["channels"])
+                 for kind in values["models"].split(",")],
+        m=values["m"], r=values["r"], lag=values["L"], n_samples=values["n"],
+        tau=values["tau"], realizations=values["realizations"], base_seed=values["seed"])
+    return ensemble_to_resultfile(experiments.run_sweep(spec), metadata=cfg)
 
 
-def run_generate(cfg: dict) -> ResultFile:
-    kind = cfg["kind"]
-    if kind not in experiments.MODEL_KINDS:
-        raise CliConfigError("unknown --kind %r (choose from %s)"
-                             % (kind, ", ".join(experiments.MODEL_KINDS)))
-    n = int(cfg["n"])
-    sd = float(cfg["sd"])
-    if sd <= 0:
-        raise CliConfigError("--sd must be > 0")
-    seed = int(cfg["seed"])
-    channels = int(cfg.get("channels", "1"))
-    data = np.stack([sd * experiments.generate_channel(kind, n, (seed, 0, c))
-                     for c in range(channels)])
+def run_generate(values: dict, cfg: dict) -> ResultFile:
+    data = np.stack([values["sd"] * experiments.generate_channel(
+                         values["kind"], values["n"], (values["seed"], 0, c))
+                     for c in range(values["channels"])])
     return record_to_resultfile(data, metadata=cfg)
 
 
-def run_surrogate(cfg: dict) -> ResultFile:
-    data = _load_input(cfg)
-    seed = int(cfg["seed"])
-    shuffled = np.stack([shuffle_surrogate(data.channels[c], (seed, c))
+def run_surrogate(values: dict, cfg: dict) -> ResultFile:
+    data = _load_input(values)
+    shuffled = np.stack([shuffle_surrogate(data.channels[c], (values["seed"], c))
                          for c in range(data.n_channels)])
     return record_to_resultfile(shuffled, data.channel_labels, cfg)
 
 
-def run_bench(cfg: dict) -> ResultFile:
+def run_bench(values: dict, cfg: dict) -> ResultFile:
     report = experiments.timing_benchmark(
-        cfg["vary"],
-        parse_values(cfg["values"]),
-        n_samples=int(cfg["n"]),
-        channels=int(cfg.get("channels", "2")),
-        m=int(cfg["m"]),
-        tau=int(cfg.get("tau", "1")),
-        r=float(cfg["r"]),
-        runs=int(cfg["runs"]),
-        base_seed=int(cfg["seed"]),
-    )
-    return timing_to_resultfile(report, metadata=dict(cfg))
+        values["vary"], parse_values(values["values"]), n_samples=values["n"],
+        channels=values["channels"], m=values["m"], tau=values["tau"], r=values["r"],
+        runs=values["runs"], base_seed=values["seed"])
+    return timing_to_resultfile(report, metadata=cfg)
 
 
 _RUNNERS = {
@@ -222,32 +307,36 @@ _RUNNERS = {
     "bench": run_bench,
 }
 
-# Keys consulted by each runner; replay feeds exactly these back in.
-_CFG_KEYS = {
-    "compute": ["command", "estimator", "input", "columns", "max_rows", "offset",
-                "m", "r", "L", "scales", "tolerance_mode", "normalize",
-                "per_scale_tolerance", "equal_template_count"],
-    "sweep": ["command", "estimator", "vary", "values", "models", "channels",
-              "m", "r", "L", "n", "tau", "realizations", "seed"],
-    "generate": ["command", "kind", "n", "sd", "seed", "channels"],
-    "surrogate": ["command", "input", "columns", "max_rows", "offset", "seed"],
-    "bench": ["command", "vary", "values", "n", "channels", "m", "tau", "r",
-              "runs", "seed"],
-}
+
+def _run(cfg: dict, out_path) -> ResultFile:
+    """Check a string config, echo it, run its command and write the result."""
+    values = _values(cfg)
+    for key, value in cfg.items():
+        print("config: %s = %s" % (key, value))
+    result = _RUNNERS[cfg["command"]](values, cfg)
+    write_result(result, out_path)
+    return result
 
 
-def replay(result_path, out_path) -> None:
+def replay(result_path, out_path) -> ResultFile:
     """Re-execute the run recorded in a result file's metadata.
 
-    The regenerated file is byte-identical to the original for every
-    deterministic command (bench timings vary by nature).
+    Every option of the command must be in the metadata; the run is
+    checked and echoed as on the command line. The regenerated file is
+    byte-identical to the original for every deterministic command
+    (bench timings vary by nature).
     """
-    rf = read_result(result_path)
-    command = rf.metadata.get("command")
+    metadata = read_result(result_path).metadata
+    command = metadata.get("command")
     if command not in _RUNNERS:
         raise CliConfigError("file %s has no replayable command metadata" % (result_path,))
-    cfg = {k: rf.metadata[k] for k in _CFG_KEYS[command] if k in rf.metadata}
-    write_result(_RUNNERS[command](cfg), out_path)
+    cfg = {"command": command}
+    for opt in _OPTIONS[command]:
+        if opt.key not in metadata:
+            raise CliConfigError("file %s: the %s metadata has no %s"
+                                 % (result_path, command, opt.key))
+        cfg[opt.key] = metadata[opt.key]
+    return _run(cfg, out_path)
 
 
 def _emit_plot(data_path, rf: ResultFile) -> None:
@@ -276,156 +365,37 @@ def _build_parser() -> argparse.ArgumentParser:
                "(inclusive), or comma-separated values.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_entropy_flags(p):
-        p.add_argument("--m", type=int, default=2, help="base embedding dimension")
-        p.add_argument("--r", type=float, default=0.15,
-                       help="tolerance quotient (or absolute radius with "
-                            "--tolerance-mode absolute)")
-        p.add_argument("--L", type=int, default=1, help="time lag")
-
-    p = sub.add_parser("compute", help="compute an entropy curve from a record file")
-    p.add_argument("--estimator", default="vemse",
-                   choices=["sampen", "mse", "mmse", "vemse"])
-    p.add_argument("--input", required=True, help="record CSV path")
-    p.add_argument("--output", required=True, help="result CSV path")
-    add_entropy_flags(p)
-    p.add_argument("--scales", default="1", help="scale list, e.g. 1..20")
-    p.add_argument("--tolerance-mode", default="covariance_trace",
-                   choices=["covariance_trace", "absolute"])
-    p.add_argument("--columns", default="", help="channel selection (labels or indices)")
-    p.add_argument("--max-rows", type=int, default=None)
-    p.add_argument("--offset", type=int, default=0)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--per-scale-tolerance", action="store_true")
-    p.add_argument("--equal-template-count", action="store_true")
-    p.add_argument("--emit-plot", action="store_true")
-
-    p = sub.add_parser("sweep", help="ensemble parameter sweep on synthetic models")
-    p.add_argument("--estimator", default="vemse",
-                   choices=["sampen", "mse", "mmse", "vemse"])
-    p.add_argument("--vary", required=True, choices=["m", "N", "r", "scale"])
-    p.add_argument("--values", required=True)
-    p.add_argument("--models", default="wgn,flicker,ar1,ar2,ar3")
-    p.add_argument("--channels", type=int, default=2)
-    add_entropy_flags(p)
-    p.add_argument("--n", type=int, default=1000, help="samples per channel")
-    p.add_argument("--tau", type=int, default=1, help="fixed scale when not swept")
-    p.add_argument("--realizations", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True)
-    p.add_argument("--emit-plot", action="store_true")
-
-    p = sub.add_parser("generate", help="write a synthetic record file")
-    p.add_argument("--kind", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sd", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--output", required=True)
-
-    p = sub.add_parser("surrogate", help="shuffle-surrogate of a record file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--columns", default="")
-    p.add_argument("--max-rows", type=int, default=None)
-    p.add_argument("--offset", type=int, default=0)
-
-    p = sub.add_parser("bench", help="vemse vs mmse wall-clock benchmark")
-    p.add_argument("--vary", required=True, choices=["scale", "N", "channels", "m"])
-    p.add_argument("--values", required=True)
-    p.add_argument("--n", type=int, default=5000)
-    p.add_argument("--channels", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--tau", type=int, default=1)
-    p.add_argument("--r", type=float, default=0.15)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True)
-    p.add_argument("--emit-plot", action="store_true")
-
-    p = sub.add_parser("replay", help="re-run a result file from its metadata")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    for command, options in _OPTIONS.items():
+        p = sub.add_parser(command, help=_SUMMARIES[command])
+        for opt in options:
+            if opt.type is bool:
+                p.add_argument(_flag_name(opt.key), action="store_true", help=opt.help)
+                continue
+            required = opt.default is _REQUIRED
+            p.add_argument(_flag_name(opt.key), type=opt.type, required=required,
+                           default=None if required else opt.default, help=opt.help,
+                           metavar="{%s}" % ",".join(opt.choices) if opt.choices else None)
+        p.add_argument("--output", required=True, help="result CSV path")
+        if command in _PLOTTED:
+            p.add_argument("--emit-plot", action="store_true",
+                           help="also write a gnuplot script next to the output")
     return parser
 
 
-def _validate_common(args) -> None:
-    for flag, value, low in (("--m", getattr(args, "m", None), 1),
-                             ("--L", getattr(args, "L", None), 1),
-                             ("--n", getattr(args, "n", None), 1),
-                             ("--channels", getattr(args, "channels", None), 1),
-                             ("--realizations", getattr(args, "realizations", None), 1),
-                             ("--runs", getattr(args, "runs", None), 1),
-                             ("--max-rows", getattr(args, "max_rows", None), 1),
-                             ("--offset", getattr(args, "offset", None), 0)):
-        if value is not None and value < low:
-            raise CliConfigError("%s must be >= %d, got %d" % (flag, low, value))
-    r = getattr(args, "r", None)
-    if r is not None and r <= 0:
-        raise CliConfigError("--r must be > 0, got %r" % (r,))
-
-
-def _cfg_from_args(args) -> dict:
-    cfg = {"command": args.command}
-    if args.command == "compute":
-        cfg.update(estimator=args.estimator, input=args.input,
-                   columns=args.columns,
-                   max_rows="" if args.max_rows is None else str(args.max_rows),
-                   offset=str(args.offset), m=str(args.m), r=repr(args.r),
-                   L=str(args.L), scales=args.scales,
-                   tolerance_mode=args.tolerance_mode,
-                   normalize=str(args.normalize).lower(),
-                   per_scale_tolerance=str(args.per_scale_tolerance).lower(),
-                   equal_template_count=str(args.equal_template_count).lower())
-    elif args.command == "sweep":
-        cfg.update(estimator=args.estimator, vary=args.vary, values=args.values,
-                   models=args.models, channels=str(args.channels),
-                   m=str(args.m), r=repr(args.r), L=str(args.L),
-                   n=str(args.n), tau=str(args.tau),
-                   realizations=str(args.realizations), seed=str(args.seed))
-    elif args.command == "generate":
-        cfg.update(kind=args.kind, n=str(args.n), sd=repr(args.sd),
-                   seed=str(args.seed), channels=str(args.channels))
-    elif args.command == "surrogate":
-        cfg.update(input=args.input, columns=args.columns,
-                   max_rows="" if args.max_rows is None else str(args.max_rows),
-                   offset=str(args.offset), seed=str(args.seed))
-    elif args.command == "bench":
-        cfg.update(vary=args.vary, values=args.values, n=str(args.n),
-                   channels=str(args.channels), m=str(args.m),
-                   tau=str(args.tau), r=repr(args.r), runs=str(args.runs),
-                   seed=str(args.seed))
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "replay":
-            replay(args.input, args.output)
-            print("wrote %s" % (args.output,))
-            return 0
-        _validate_common(args)
-        cfg = _cfg_from_args(args)
-        _print_config(cfg)
-        if args.command == "compute":
-            curve = _compute_curve(cfg, _load_input(cfg))
-            if curve.radius is not None:
-                print("config: resolved_radius = %r" % (curve.radius,))
-            result = curve_to_resultfile(curve, metadata=dict(cfg))
+            result = replay(args.input, args.output)
         else:
-            result = _RUNNERS[args.command](cfg)
-        write_result(result, args.output)
+            cfg = {"command": args.command}
+            cfg.update((opt.key, _text(getattr(args, opt.key)))
+                       for opt in _OPTIONS[args.command])
+            result = _run(cfg, args.output)
         print("wrote %s" % (args.output,))
         if getattr(args, "emit_plot", False):
             _emit_plot(args.output, result)
         return 0
-    except RecordParseError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 3
     except (CliConfigError, InvalidParameterError, DegenerateToleranceError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2

@@ -81,8 +81,13 @@ def _parse_cell(s: str):
 def _unwritable(result: ResultFile):
     """Why read_result could not give `result` back unchanged, or None."""
     for key, value in result.metadata.items():
-        if any(c in "%s%s" % (key, value) for c in "\n\r"):
+        key, value = str(key), str(value)
+        if any(c in key + value for c in "\n\r"):
             return "metadata %r = %r holds a line break" % (key, value)
+        if "=" in key:
+            return "metadata key %r holds '='" % (key,)
+        if key != key.strip() or value != value.strip():
+            return "metadata %r = %r has leading or trailing whitespace" % (key, value)
     for label in result.columns:
         if any(c in label for c in ",\n\r"):
             return "column label %r holds a comma or a line break" % (label,)
@@ -94,9 +99,10 @@ def _unwritable(result: ResultFile):
 def write_result(result: ResultFile, path) -> None:
     """Write a ResultFile; read_result(write_result(r)) == r.
 
-    A metadata key or value with a line break, a column label with a comma
-    or a line break, and a first label starting with "#" would not read
-    back, so they raise VemseError and nothing is written.
+    A metadata key or value with a line break or leading or trailing
+    whitespace, a metadata key with "=", a column label with a comma or a
+    line break, and a first label starting with "#" would not read back,
+    so they raise VemseError and nothing is written.
     """
     problem = _unwritable(result)
     if problem is not None:

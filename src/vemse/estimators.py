@@ -91,7 +91,6 @@ class TemplateSet:
     dimension: int
     lag: int
     series: np.ndarray
-    origin_channel: int | None = None
 
     def __len__(self):
         return self.series.size - (self.dimension - 1) * self.lag
@@ -102,7 +101,7 @@ class TemplateSet:
         return self.series[idx]
 
 
-def build_templates(y, dim: int, lag: int, origin_channel: int | None = None) -> TemplateSet:
+def build_templates(y, dim: int, lag: int) -> TemplateSet:
     """Build the delay-vector template set of y at the given dimension and lag.
 
     Returns len(y) - (dim-1)*lag templates; template i reads indices
@@ -116,7 +115,7 @@ def build_templates(y, dim: int, lag: int, origin_channel: int | None = None) ->
         raise InvalidParameterError(
             "need at least %d samples for dim=%d lag=%d, got %d"
             % ((dim - 1) * lag + 2, dim, lag, y.size))
-    return TemplateSet(dimension=dim, lag=lag, series=y, origin_channel=origin_channel)
+    return TemplateSet(dimension=dim, lag=lag, series=y)
 
 
 def chebyshev_distance(a, b) -> float:

@@ -180,20 +180,8 @@ def _aggregate(per_value_samples):
     return means, stds, counts
 
 
-def _estimate_point(estimator, channels, m, r, lag, tau):
-    """One single-scale estimate; sampen/mse use the first channel only."""
-    rule = ToleranceRule.trace(r)
-    if estimator == "mmse":
-        curve = mmse(MultichannelSeries(channels), [m] * channels.shape[0], rule,
-                     scales=[tau])
-    else:
-        data = channels if estimator == "vemse" else channels[:1]
-        params = EntropyParams(m=m, r=r, L=lag, scales=[tau])
-        curve = vemse(MultichannelSeries(data), params, rule)
-    return curve.values[0]
-
-
 def _estimate_curve(estimator, channels, m, r, lag, scales):
+    """One estimator's curve; sampen and mse use the first channel only."""
     rule = ToleranceRule.trace(r)
     if estimator == "mmse":
         return mmse(MultichannelSeries(channels), [m] * channels.shape[0], rule,
@@ -226,8 +214,8 @@ def run_sweep(spec: SweepSpec) -> EnsembleResult:
                 col = []
                 for k in range(spec.realizations):
                     chans = realize_bundle(bundle, int(n), spec.base_seed, k)
-                    col.append(_estimate_point(spec.estimator, chans, spec.m,
-                                               spec.r, spec.lag, spec.tau))
+                    col.append(_estimate_curve(spec.estimator, chans, spec.m,
+                                               spec.r, spec.lag, [spec.tau]).values[0])
                 samples.append(col)
         else:  # m or r: data fixed across sweep values, generate once
             chans_by_k = [realize_bundle(bundle, spec.n_samples, spec.base_seed, k)
@@ -236,8 +224,8 @@ def run_sweep(spec: SweepSpec) -> EnsembleResult:
             for v in values:
                 m = int(v) if spec.swept_parameter == "m" else spec.m
                 r = float(v) if spec.swept_parameter == "r" else spec.r
-                samples.append([_estimate_point(spec.estimator, chans, m, r,
-                                                spec.lag, spec.tau)
+                samples.append([_estimate_curve(spec.estimator, chans, m, r,
+                                                spec.lag, [spec.tau]).values[0]
                                 for chans in chans_by_k])
         means, stds, counts = _aggregate(samples)
         mean_rows.append(means)

@@ -86,7 +86,7 @@ class EntropyParams:
             raise InvalidParameterError("m must be >= 1, got %r" % (self.m,))
         if self.L < 1:
             raise InvalidParameterError("L must be >= 1, got %r" % (self.L,))
-        if self.r <= 0:
+        if not self.r > 0:
             raise InvalidParameterError("r must be > 0, got %r" % (self.r,))
         scales = [int(s) for s in self.scales]
         if not scales:
@@ -116,8 +116,8 @@ class ToleranceRule:
     def __post_init__(self):
         if self.mode not in ("covariance_trace", "absolute"):
             raise InvalidParameterError("unknown tolerance mode %r" % (self.mode,))
-        if self.value <= 0:
-            raise InvalidParameterError("tolerance value must be > 0")
+        if not self.value > 0:
+            raise InvalidParameterError("tolerance value must be > 0, got %r" % (self.value,))
 
     @classmethod
     def trace(cls, quotient: float) -> "ToleranceRule":
@@ -150,16 +150,5 @@ class EntropyCurve:
         if len(self.scales) != len(self.values):
             raise InvalidParameterError("scales and values length mismatch")
 
-    def value_at(self, scale: int) -> float | None:
-        return self.values[self.scales.index(scale)]
-
-    def defined_mask(self) -> np.ndarray:
-        return np.array([v is not None for v in self.values])
-
     def has_negative(self) -> bool:
         return any(v is not None and v < 0 for v in self.values)
-
-    def as_arrays(self):
-        """Return (scales, values) as float arrays, undefined points as NaN."""
-        vals = np.array([np.nan if v is None else v for v in self.values])
-        return np.asarray(self.scales, dtype=float), vals

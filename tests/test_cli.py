@@ -1,4 +1,6 @@
 """CLI behaviour: exit codes, determinism, config echo, replay."""
+import argparse
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,19 @@ from vemse import (
     resolve_tolerance,
     write_record,
 )
-from vemse.cli import CliConfigError, main, parse_values, replay
+from vemse.cli import CliConfigError, _build_parser, main, parse_values, replay
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def echoed(stdout):
+    """The (key, value) pairs of the config: lines, in order."""
+    return [tuple(line[len("config: "):].split(" = ", 1))
+            for line in stdout.splitlines() if line.startswith("config: ")]
 
 
 @pytest.fixture
@@ -297,3 +305,183 @@ class TestReplay:
                               "--output", str(tmp_path / "o.csv"))
         assert code == 2
         assert "replayable" in stderr
+
+
+class TestOptionTable:
+    """Flags, echo, metadata and replay all come from one table per subcommand."""
+
+    @pytest.mark.parametrize("command, flags, required", [
+        ("compute",
+         "--estimator --input --columns --max-rows --offset --m --r --L --scales "
+         "--tolerance-mode --normalize --per-scale-tolerance --equal-template-count "
+         "--output --emit-plot", "--input --output"),
+        ("sweep",
+         "--estimator --vary --values --models --channels --m --r --L --n --tau "
+         "--realizations --seed --output --emit-plot", "--vary --values --output"),
+        ("generate", "--kind --n --sd --seed --channels --output", "--kind --n --output"),
+        ("surrogate", "--input --columns --max-rows --offset --seed --output",
+         "--input --output"),
+        ("bench", "--vary --values --n --channels --m --tau --r --runs --seed --output "
+         "--emit-plot", "--vary --values --output"),
+        ("replay", "--input --output", "--input --output"),
+    ])
+    def test_flag_set(self, command, flags, required):
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in subparsers.choices[command]._actions if a.dest != "help"]
+        assert sorted(f for a in actions for f in a.option_strings) == sorted(flags.split())
+        assert sorted(f for a in actions if a.required for f in a.option_strings) \
+            == sorted(required.split())
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--scales", "1..3"],
+        ["generate", "--kind", "wgn", "--n", "50"],
+        ["surrogate", "--columns", "1", "--max-rows", "40"],
+        ["sweep", "--vary", "r", "--values", "0.3", "--models", "wgn", "--n", "100",
+         "--realizations", "1"],
+        ["bench", "--vary", "N", "--values", "100", "--runs", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_echoed_config_is_the_written_metadata(self, record, tmp_path, capsys, argv):
+        if argv[0] in ("compute", "surrogate"):
+            argv = argv + ["--input", str(record)]
+        out = tmp_path / "out.csv"
+        code, stdout, _ = run(capsys, *argv, "--output", str(out))
+        assert code == 0
+        config = [(k, v) for k, v in echoed(stdout) if k != "resolved_radius"]
+        written = list(read_result(out).metadata.items())
+        assert written[:len(config)] == config
+        # after the config, the writers add only keys of their own
+        assert {k for k, _ in written[len(config):]} <= {"kind", "has_negative"}
+
+    @pytest.mark.parametrize("flags", [
+        ["surrogate", "--seed", "5"],
+        ["surrogate", "--columns", "ch1,0", "--max-rows", "300", "--offset", "20"],
+        ["compute", "--estimator", "mmse", "--scales", "1..2"],
+        ["compute", "--estimator", "sampen", "--r", "0.2"],
+        ["compute", "--normalize", "--scales", "1..3"],
+        ["compute", "--per-scale-tolerance", "--scales", "1..3"],
+        ["compute", "--equal-template-count", "--scales", "1..3"],
+        ["compute", "--columns", "1", "--max-rows", "300", "--offset", "20",
+         "--scales", "1..3"],
+    ], ids=["surrogate", "surrogate-selection", "mmse", "sampen", "normalize",
+            "per-scale-tolerance", "equal-template-count", "compute-selection"])
+    def test_cli_then_replay_byte_identical(self, record, tmp_path, capsys, flags):
+        out = tmp_path / "out.csv"
+        code, stdout, _ = run(capsys, *flags, "--input", str(record), "--output", str(out))
+        assert code == 0
+        redo = tmp_path / "redo.csv"
+        code, replayed, _ = run(capsys, "replay", "--input", str(out), "--output", str(redo))
+        assert code == 0
+        assert out.read_bytes() == redo.read_bytes()
+        # replay checks and echoes the run as the command line did
+        assert echoed(replayed) == echoed(stdout)
+
+    def test_padded_list_options_replay_byte_identical(self, record, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, stdout, _ = run(capsys, "compute", "--input", str(record), "--output", str(out),
+                              "--scales", "1..3 ", "--columns", " ch1 , 0 ")
+        assert code == 0
+        assert ("scales", "1..3") in echoed(stdout)
+        md = read_result(out).metadata
+        assert (md["scales"], md["columns"]) == ("1..3", "ch1 , 0")
+        redo = tmp_path / "redo.csv"
+        replay(out, redo)
+        assert out.read_bytes() == redo.read_bytes()
+
+    def test_replay_echoes_the_radius(self, record, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        run(capsys, "compute", "--input", str(record), "--output", str(out))
+        code, stdout, _ = run(capsys, "replay", "--input", str(out),
+                              "--output", str(tmp_path / "redo.csv"))
+        assert code == 0
+        assert "config: command = compute" in stdout
+        assert "config: resolved_radius = " in stdout
+
+
+class TestConfigEdges:
+    """Malformed configuration exits 2 before any work, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--kind", "wgn", "--n", "10"],
+        ["sweep", "--vary", "r", "--values", "0.3", "--models", "wgn", "--n", "100"],
+        ["surrogate", "--input", "in.csv"],
+        ["bench", "--vary", "N", "--values", "100", "--runs", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(capsys, *argv, "--seed", "-1", "--output", str(out))
+        assert code == 2
+        assert "--seed must be >= 0" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--input", "in.csv", "--r", "nan"],
+        ["compute", "--input", "in.csv", "--r", "inf"],
+        ["compute", "--input", "in.csv", "--r", "-0.1"],
+        ["generate", "--kind", "wgn", "--n", "10", "--sd", "nan"],
+        ["generate", "--kind", "wgn", "--n", "10", "--sd", "inf"],
+    ], ids=["r-nan", "r-inf", "r-negative", "sd-nan", "sd-inf"])
+    def test_floats_must_be_finite_and_positive(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(capsys, *argv, "--output", str(out))
+        assert code == 2
+        assert "must be finite and > 0" in stderr
+        assert "config:" not in stdout
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["compute", "--input", "in.csv", "--m", "0"], "--m must be >= 1"),
+        (["compute", "--input", "in.csv", "--L", "0"], "--L must be >= 1"),
+        (["compute", "--input", "in.csv", "--max-rows", "0"], "--max-rows must be >= 1"),
+        (["surrogate", "--input", "in.csv", "--offset", "-2"], "--offset must be >= 0"),
+        (["generate", "--kind", "wgn", "--n", "0"], "--n must be >= 1"),
+        (["generate", "--kind", "wgn", "--n", "9", "--channels", "0"],
+         "--channels must be >= 1"),
+        (["sweep", "--vary", "r", "--values", "0.3", "--realizations", "0"],
+         "--realizations must be >= 1"),
+        (["bench", "--vary", "N", "--values", "100", "--runs", "0"], "--runs must be >= 1"),
+    ], ids=["m", "L", "max-rows", "offset", "n", "channels", "realizations", "runs"])
+    def test_counts_below_their_least_value_exit_2(self, tmp_path, capsys, argv, flag):
+        code, stdout, stderr = run(capsys, *argv, "--output", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert flag in stderr
+        assert "config:" not in stdout
+
+    @pytest.fixture
+    def curve_file(self, record, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert run(capsys, "compute", "--input", str(record), "--output", str(out))[0] == 0
+        return out
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda text: text.replace("# estimator = vemse\n", ""), "estimator"),
+        (lambda text: text.replace("# m = 2\n", "# m = x\n"), "--m"),
+        (lambda text: text.replace("# r = 0.15\n", "# r = nan\n"), "--r"),
+        (lambda text: text.replace("# normalize = false\n", "# normalize = yes\n"),
+         "--normalize"),
+        (lambda text: text.replace("# offset = 0\n", "# offset = -1\n"), "--offset"),
+    ], ids=["missing-required", "not-an-int", "nan", "not-a-bool", "below-low"])
+    def test_bad_replay_metadata_exits_2_naming_key(self, curve_file, tmp_path, capsys,
+                                                     edit, named):
+        text = curve_file.read_text()
+        edited = edit(text)
+        assert edited != text
+        curve_file.write_text(edited)
+        out = tmp_path / "redo.csv"
+        code, _, stderr = run(capsys, "replay", "--input", str(curve_file),
+                              "--output", str(out))
+        assert code == 2
+        assert named in stderr
+        assert "Traceback" not in stderr
+        assert not out.exists()
+
+    def test_unreplayable_metadata_is_not_written(self, record, tmp_path, capsys):
+        # an input path with trailing whitespace would not read back
+        padded = tmp_path / "rec.csv "
+        padded.write_bytes(record.read_bytes())
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(capsys, "compute", "--input", str(padded),
+                              "--output", str(out))
+        assert code == 3
+        assert "whitespace" in stderr
+        assert not out.exists()

@@ -6,6 +6,7 @@ import pytest
 
 from vemse import (
     DegenerateToleranceError,
+    EntropyParams,
     InvalidParameterError,
     MultichannelSeries,
     ToleranceRule,
@@ -169,6 +170,15 @@ class TestSeriesTypes:
     def test_nan_rejected(self):
         with pytest.raises(InvalidParameterError):
             MultichannelSeries(np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: EntropyParams(r=float("nan")),
+        lambda: ToleranceRule(value=float("nan")),
+        lambda: ToleranceRule.absolute(float("nan")),
+    ], ids=["params", "rule", "absolute-rule"])
+    def test_nan_tolerance_rejected(self, make):
+        with pytest.raises(InvalidParameterError, match="nan"):
+            make()
 
     def test_channel_order_preserved(self):
         data = MultichannelSeries(np.array([[1.0, 2.0], [3.0, 4.0]]),

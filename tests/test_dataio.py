@@ -314,12 +314,23 @@ class TestResultCells:
         ResultFile(metadata={"k\n": "v"}, columns=["a"], rows=[[1]]),
         ResultFile(metadata={"k": "v\nw"}, columns=["a"], rows=[[1]]),
         ResultFile(metadata={"k": "v\rw"}, columns=["a"], rows=[[1]]),
+        ResultFile(metadata={"a=b": "c"}, columns=["a"], rows=[[1]]),
+        ResultFile(metadata={" k": "v"}, columns=["a"], rows=[[1]]),
+        ResultFile(metadata={"k ": "v"}, columns=["a"], rows=[[1]]),
+        ResultFile(metadata={"k": "1..3 "}, columns=["a"], rows=[[1]]),
+        ResultFile(metadata={"k": "\tv"}, columns=["a"], rows=[[1]]),
     ])
     def test_writer_refuses_what_it_cannot_read_back(self, tmp_path, rf):
         path = tmp_path / "r.csv"
         with pytest.raises(VemseError, match="cannot write"):
             write_result(rf, path)
         assert not path.exists()
+
+    def test_equals_in_a_value_and_empty_values_round_trip(self, tmp_path):
+        rf = ResultFile(metadata={"k": "a = b", "e": ""}, columns=["a"], rows=[[1]])
+        path = tmp_path / "r.csv"
+        write_result(rf, path)
+        assert read_result(path) == rf
 
     def test_hash_in_a_later_label_round_trips(self, tmp_path):
         rf = ResultFile(metadata={"k": "v"}, columns=["a", "#b"], rows=[[1, 2]])

@@ -15,7 +15,7 @@ from vemse import (
     timing_benchmark,
     vemse,
 )
-from vemse.experiments import realize_bundle, _estimate_point
+from vemse.experiments import realize_bundle, _estimate_curve
 
 
 def small_spec(**overrides):
@@ -63,7 +63,7 @@ class TestRunSweep:
                 vals = []
                 for k in range(spec.realizations):
                     chans = realize_bundle(bundle, spec.n_samples, spec.base_seed, k)
-                    vals.append(_estimate_point("vemse", chans, m, spec.r, 1, 1))
+                    vals.append(_estimate_curve("vemse", chans, m, spec.r, 1, [1]).values[0])
                 defined = [v for v in vals if v is not None]
                 assert res.mean[mi][vi] == pytest.approx(float(np.mean(defined)))
 
