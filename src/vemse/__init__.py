@@ -19,12 +19,7 @@ from .series import (
     VemseError,
 )
 from .estimators import (
-    MatchStats,
-    TemplateSet,
-    build_templates,
-    chebyshev_distance,
     coarse_grain,
-    match_stats,
     mmse,
     mse,
     resolve_tolerance,
@@ -65,12 +60,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AR1", "AR2", "AR3", "ArModel",
     "DegenerateToleranceError", "EnsembleResult", "EntropyCurve",
-    "EntropyParams", "InvalidParameterError", "MatchStats",
-    "ModelBundle", "MultichannelSeries", "RecordParseError", "ResultFile",
-    "SweepSpec", "TemplateSet", "TimingReport", "ToleranceRule", "VemseError",
-    "build_templates", "chebyshev_distance", "coarse_grain",
+    "EntropyParams", "InvalidParameterError", "ModelBundle",
+    "MultichannelSeries", "RecordParseError", "ResultFile", "SweepSpec",
+    "TimingReport", "ToleranceRule", "VemseError", "coarse_grain",
     "directionality_study", "generate_ar", "generate_flicker", "generate_wgn",
-    "load_record", "match_stats", "mix_noise", "mmse", "mse",
+    "load_record", "mix_noise", "mmse", "mse",
     "noise_robustness_study", "read_result", "resolve_tolerance", "run_sweep",
     "sampen", "shuffle_surrogate", "timing_benchmark", "vemse",
     "write_record", "write_result",

@@ -15,6 +15,7 @@ Exit status: 0 success (undefined entropy points are still success),
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import NamedTuple
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import experiments
 from .dataio import (
+    _DECIMAL,
     ResultFile,
     curve_to_resultfile,
     ensemble_to_resultfile,
@@ -49,19 +51,29 @@ class CliConfigError(VemseError):
     pass
 
 
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str):
+    """text as an int when it is written [+-]?[0-9]+, else None."""
+    try:
+        return int(text) if _INT.fullmatch(text) else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def parse_values(spec: str):
     """Parse a value list: "a..b" (ints), "start:step:stop", or "v1,v2,...".
 
-    start:step:stop is inclusive of stop (within rounding); values are
-    rounded to 10 decimals so 0.1-stepped grids come out clean.
+    Items are ASCII ints or decimal numbers. start:step:stop is inclusive
+    of stop (within rounding); values are rounded to 10 decimals so
+    0.1-stepped grids come out clean.
     """
     spec = spec.strip()
     if ".." in spec:
-        a, _, b = spec.partition("..")
-        try:
-            lo, hi = int(a), int(b)
-        except ValueError as exc:
-            raise CliConfigError("bad range %r: expected int..int" % (spec,)) from exc
+        lo, hi = (_int(t.strip()) for t in spec.split("..", 1))
+        if lo is None or hi is None:
+            raise CliConfigError("bad range %r: expected int..int" % (spec,))
         if hi < lo:
             raise CliConfigError("bad range %r: end before start" % (spec,))
         return list(range(lo, hi + 1))
@@ -69,12 +81,9 @@ def parse_values(spec: str):
         parts = spec.split(":")
         if len(parts) != 3:
             raise CliConfigError("bad range %r: expected start:step:stop" % (spec,))
-        try:
-            start, step, stop = (float(p) for p in parts)
-        except ValueError as exc:
-            raise CliConfigError("bad range %r" % (spec,)) from exc
-        if step <= 0 or stop < start:
-            raise CliConfigError("bad range %r: need step > 0 and stop >= start" % (spec,))
+        start, step, stop = (float(p) if _DECIMAL.fullmatch(p.strip()) else np.nan for p in parts)
+        if not (step > 0 and stop >= start and np.isfinite(stop - start)):
+            raise CliConfigError("bad range %r: need decimals, step > 0, stop >= start" % (spec,))
         count = int((stop - start) / step + 1e-9) + 1
         return [round(start + i * step, 10) for i in range(count)]
     out = []
@@ -82,20 +91,27 @@ def parse_values(spec: str):
         tok = tok.strip()
         if not tok:
             continue
-        try:
-            out.append(int(tok))
-        except ValueError:
-            try:
-                out.append(float(tok))
-            except ValueError as exc:
-                raise CliConfigError("bad value %r in list" % (tok,)) from exc
+        value = _int(tok)
+        if value is None and _DECIMAL.fullmatch(tok):
+            value = float(tok)
+        if value is None:
+            raise CliConfigError("bad value %r in list" % (tok,))
+        out.append(value)
     if not out:
         raise CliConfigError("empty value list %r" % (spec,))
     return out
 
 
 def _spec(text: str) -> str:
-    """A list option (scales, values, models, columns) as written, unpadded."""
+    """A list option (scales, values, models) as written, unpadded."""
+    return text.strip()
+
+
+def _columns(text: str) -> str:
+    """--columns as written, unpadded; an index is written in ASCII digits."""
+    for tok in text.split(","):
+        if tok.strip().lstrip("-").isdigit() and not re.fullmatch(r"-?[0-9]+", tok.strip()):
+            raise CliConfigError("--columns: index %r is not in ASCII digits" % (tok.strip(),))
     return text.strip()
 
 
@@ -105,9 +121,10 @@ _REQUIRED = object()
 class _Opt(NamedTuple):
     """One option: --key on the command line, key in the echo and the metadata.
 
-    A bool option is a flag. choices bound the value, or each comma-separated
-    item of a list option. low is the least int allowed; a float must be
-    finite and greater than its low.
+    A bool option is a flag; an int is written [+-]?[0-9]+ and a float as
+    an ASCII decimal number. choices bound the value, or each item of a
+    list option. low is the least int allowed; a float must be finite and
+    greater than its low.
     """
 
     key: str
@@ -126,7 +143,7 @@ _L = _Opt("L", int, 1, "time lag", low=1)
 _SEED = _Opt("seed", int, 0, low=0)
 _RECORD = (
     _Opt("input", str, help="record CSV path"),
-    _Opt("columns", _spec, "", "channel selection (labels or indices)"),
+    _Opt("columns", _columns, "", "channel selection (labels or indices)"),
     _Opt("max_rows", int, None, low=1),
     _Opt("offset", int, 0, low=0),
 )
@@ -151,7 +168,7 @@ _OPTIONS = {
         _Opt("channels", int, 2, low=1),
         _M, _R, _L,
         _Opt("n", int, 1000, "samples per channel", low=1),
-        _Opt("tau", int, 1, "fixed scale when not swept"),
+        _Opt("tau", int, 1, "fixed scale when not swept", low=1),
         _Opt("realizations", int, 20, low=1),
         _SEED,
     ),
@@ -169,7 +186,7 @@ _OPTIONS = {
         _Opt("n", int, 5000, low=1),
         _Opt("channels", int, 2, low=1),
         _M,
-        _Opt("tau", int, 1),
+        _Opt("tau", int, 1, low=1),
         _R,
         _Opt("runs", int, 10, low=1),
         _SEED,
@@ -202,7 +219,10 @@ def _text(value) -> str:
 
 
 def _values(cfg: dict) -> dict:
-    """The typed option values of a string config, checked against the table."""
+    """The typed option values of a string config, checked against the table.
+
+    The one converter of option text, for the command line and replay.
+    """
     values = {}
     for opt in _OPTIONS[cfg["command"]]:
         flag, text = _flag_name(opt.key), cfg[opt.key]
@@ -212,17 +232,19 @@ def _values(cfg: dict) -> dict:
             value = text == "true"
         elif text == "" and opt.default is None:
             value = None
+        elif opt.type is float:
+            value = float(text) if _DECIMAL.fullmatch(text) else np.nan
+            if not (value > opt.low and np.isfinite(value)):
+                raise CliConfigError("%s must be finite and > %g, written as a decimal "
+                                     "number, got %r" % (flag, opt.low, text))
+        elif opt.type is int:
+            value = _int(text)
+            if value is None:
+                raise CliConfigError("%s: %r is not a valid int" % (flag, text))
+            if opt.low is not None and value < opt.low:
+                raise CliConfigError("%s must be >= %d, got %d" % (flag, opt.low, value))
         else:
-            try:
-                value = opt.type(text)
-            except ValueError:
-                raise CliConfigError("%s: %r is not a valid %s"
-                                     % (flag, text, opt.type.__name__)) from None
-        if opt.type is float and not (value > opt.low and np.isfinite(value)):
-            raise CliConfigError("%s must be finite and > %g, got %r" % (flag, opt.low, value))
-        if opt.type is int and opt.low is not None and value is not None \
-                and value < opt.low:
-            raise CliConfigError("%s must be >= %d, got %d" % (flag, opt.low, value))
+            value = opt.type(text)
         if opt.choices:
             items = value.split(",") if opt.type is _spec else [value]
             for item in items:
@@ -372,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(_flag_name(opt.key), action="store_true", help=opt.help)
                 continue
             required = opt.default is _REQUIRED
-            p.add_argument(_flag_name(opt.key), type=opt.type, required=required,
+            # the text is kept as typed: _values converts and checks it
+            p.add_argument(_flag_name(opt.key), required=required,
                            default=None if required else opt.default, help=opt.help,
                            metavar="{%s}" % ",".join(opt.choices) if opt.choices else None)
         p.add_argument("--output", required=True, help="result CSV path")
@@ -391,6 +414,8 @@ def main(argv=None) -> int:
             cfg = {"command": args.command}
             cfg.update((opt.key, _text(getattr(args, opt.key)))
                        for opt in _OPTIONS[args.command])
+            # echo and write each value as converted, so --r 0.20 writes r = 0.2
+            cfg.update((key, _text(value)) for key, value in _values(cfg).items())
             result = _run(cfg, args.output)
         print("wrote %s" % (args.output,))
         if getattr(args, "emit_plot", False):

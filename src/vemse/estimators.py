@@ -6,14 +6,15 @@ with an inclusive boundary, and probability aggregation with self-matches
 excluded. Probabilities are exact ratios of integer pair counts, so
 they equal the naive double loop's.
 
-sampen, mse and vemse count pairs with one diagonal run-length sweep per
-scale (_pair_counts): a pair matches at dimension d when its run of
-close samples along the diagonal is long enough, so one sweep gives the
-counts at m and m+1 for every channel, at a cost independent of the
-radius. mmse still counts composite delay vectors with a k-d tree. On
-the sweep its channels would share one match mask, and it would overtake
-vemse at four channels, against the timing criterion of the acceptance
-suite (vemse no slower than mmse).
+Estimates need only integer counts of matching template pairs at m and
+m+1; no template matrix or per-template count is built. sampen, mse and
+vemse count with one diagonal run-length sweep per scale (_pair_counts):
+a pair matches at dimension d when its run of close samples along the
+diagonal is long enough, so one sweep gives the counts at m and m+1 for
+every channel, at a cost independent of the radius. mmse still counts
+composite delay vectors with a k-d tree: on the sweep its channels would
+share one match mask and overtake vemse at four channels, against the
+acceptance timing criterion (vemse no slower than mmse).
 
 Undefined estimates (no matches at dimension m or m+1, or too few
 templates at a scale) are returned as None, never raised and never NaN.
@@ -21,7 +22,6 @@ templates at a scale) are returned as None, never raised and never NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +37,10 @@ from .series import (
 __all__ = [
     "coarse_grain",
     "resolve_tolerance",
-    "build_templates",
-    "chebyshev_distance",
-    "match_stats",
     "sampen",
     "mse",
     "vemse",
     "mmse",
-    "TemplateSet",
-    "MatchStats",
 ]
 
 
@@ -81,93 +76,13 @@ def resolve_tolerance(data, rule: ToleranceRule) -> float:
     return rule.value * trace
 
 
-@dataclass
-class TemplateSet:
-    """Delay-embedded windows of one channel: row i is y[i], y[i+L], ...
-
-    Holds the channel itself; the template matrix is built on demand.
-    """
-
-    dimension: int
-    lag: int
-    series: np.ndarray
-
-    def __len__(self):
-        return self.series.size - (self.dimension - 1) * self.lag
-
-    @property
-    def templates(self) -> np.ndarray:
-        idx = np.arange(len(self))[:, None] + self.lag * np.arange(self.dimension)[None, :]
-        return self.series[idx]
-
-
-def build_templates(y, dim: int, lag: int) -> TemplateSet:
-    """Build the delay-vector template set of y at the given dimension and lag.
-
-    Returns len(y) - (dim-1)*lag templates; template i reads indices
-    i, i+lag, ..., i+(dim-1)*lag. Fewer than two templates means matching
-    is impossible and raises InvalidParameterError; estimators pre-check
-    feasibility and turn this situation into an undefined point instead.
-    """
-    y = np.asarray(y, dtype=float)
-    count = y.size - (dim - 1) * lag
-    if count < 2:
-        raise InvalidParameterError(
-            "need at least %d samples for dim=%d lag=%d, got %d"
-            % ((dim - 1) * lag + 2, dim, lag, y.size))
-    return TemplateSet(dimension=dim, lag=lag, series=y)
-
-
-def chebyshev_distance(a, b) -> float:
-    """Maximum absolute componentwise difference between two templates."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise InvalidParameterError("template length mismatch: %s vs %s" % (a.shape, b.shape))
-    return float(np.max(np.abs(a - b)))
-
-
-@dataclass
-class MatchStats:
-    """Per-template match counts and the aggregated probabilities.
-
-    counts[i] is B(i), the number of templates j != i within the radius;
-    local_probabilities[i] = B(i)/(T-1); global_probability is their mean,
-    computed as sum(B) / (T*(T-1)) so the aggregation is exact.
-    """
-
-    counts: np.ndarray
-    local_probabilities: np.ndarray
-    global_probability: float
-
-
-def match_stats(tset: TemplateSet, radius: float) -> MatchStats:
-    """Count, per template, the other templates within the Chebyshev radius.
-
-    The boundary is inclusive (distance <= radius) and self-matches are
-    excluded. Counting is symmetric by construction.
-    """
-    if radius <= 0:
-        raise InvalidParameterError("radius must be > 0")
-    t = len(tset)
-    if t < 2:
-        raise InvalidParameterError("need at least 2 templates")
-    per_template, _ = _pair_counts(tset.series[None, :], tset.lag, radius, [tset.dimension],
-                                   per_template=True)
-    counts = per_template[0, :t]
-    local = counts / (t - 1)
-    phi = int(counts.sum()) / (t * (t - 1))
-    return MatchStats(counts=counts, local_probabilities=local, global_probability=phi)
-
-
 # Diagonal cells per channel in one block of the pair-count sweep; bounds
 # its scratch memory (about 10 bytes per cell) while keeping the Python
 # loop short.
 _BLOCK_CELLS = 1 << 15
 
 
-def _pair_counts(chans: np.ndarray, lag: int, radius: float, dims, caps=None,
-                 per_template: bool = False):
+def _pair_counts(chans: np.ndarray, lag: int, radius: float, dims, caps=None):
     """Matching template pairs of every channel at dims[c] and dims[c] + 1.
 
     chans is (P, n) with finite samples; dims must be nondecreasing.
@@ -183,13 +98,11 @@ def _pair_counts(chans: np.ndarray, lag: int, radius: float, dims, caps=None,
     count at dims[c] (the equal-template-count convention).
 
     Returns (lo, hi): unordered pair counts at dims[c] and dims[c] + 1,
-    int arrays of shape (P,); with per_template, arrays of shape (P, n)
-    holding B(i), the number of other templates that template i matches.
+    int arrays of shape (P,). Self-pairs (s = 0) are never counted.
     """
     p, n = chans.shape
-    shape = (p, n) if per_template else (p,)
-    lo = np.zeros(shape, dtype=np.int64)
-    hi = np.zeros(shape, dtype=np.int64)
+    lo = np.zeros(p, dtype=np.int64)
+    hi = np.zeros(p, dtype=np.int64)
     caps = [None] * p if caps is None else caps
     pad = np.full((p, 2 * n), np.nan)
     pad[:, :n] = chans
@@ -199,12 +112,6 @@ def _pair_counts(chans: np.ndarray, lag: int, radius: float, dims, caps=None,
     diff_buf = np.empty(size)
     close_buf = np.empty(size, dtype=bool)
     match_buf = np.empty(size, dtype=bool)
-
-    def tally(mask, s0):
-        if not per_template:
-            return np.count_nonzero(mask)
-        rows, cols = np.nonzero(mask)
-        return np.bincount(cols, minlength=n) + np.bincount(cols + s0 + rows, minlength=n)
 
     # a diagonal s holds a pair at dimension d only if s < n - (d-1)L
     last = n - (dims[0] - 1) * lag
@@ -245,9 +152,9 @@ def _pair_counts(chans: np.ndarray, lag: int, radius: float, dims, caps=None,
                         # channel still has a sample n - cap places after j
                         mask = mask[:, :max(width - (n - cap), 0)] & np.isfinite(
                             later[c, :, n - cap:])
-                    lo[c] += tally(mask, s0)
+                    lo[c] += np.count_nonzero(mask)
                 elif dims[c] + 1 == d:
-                    hi[c] += tally(match[c], s0)
+                    hi[c] += np.count_nonzero(match[c])
             while first < p and dims[first] + 1 <= d:
                 first += 1
         s0 += rows

@@ -123,6 +123,8 @@ class SweepSpec:
             raise InvalidParameterError("sweep_values must be non-empty")
         if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
             raise InvalidParameterError("sweep_values must be strictly increasing")
+        if self.swept_parameter != "r" and any(v % 1 != 0 for v in self.sweep_values):
+            raise InvalidParameterError("%s values must be whole numbers" % self.swept_parameter)
         if not self.bundles:
             raise InvalidParameterError("model_set must be non-empty")
         if self.realizations < 1:
@@ -374,6 +376,8 @@ def timing_benchmark(
     if vary not in ("scale", "N", "channels", "m"):
         raise InvalidParameterError("vary must be one of scale, N, channels, m")
     values = list(values)
+    if any(v % 1 != 0 for v in values):
+        raise InvalidParameterError("%s values must be whole numbers" % (vary,))
     rule = ToleranceRule.trace(r)
     ve_mean, ve_med, mm_mean, mm_med = [], [], [], []
     for v in values:

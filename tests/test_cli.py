@@ -53,6 +53,12 @@ class TestParseValues:
             parse_values("1..x")
         with pytest.raises(CliConfigError):
             parse_values("5..1")
+        # items follow the ASCII int and decimal grammar of record cells
+        for spec in ("1_0", "1..1_0", "\u0663", "2,nan", "0:0.1_0:1", "0:0.1:1e999"):
+            with pytest.raises(CliConfigError):
+                parse_values(spec)
+        assert parse_values(" 1 .. 3 ") == [1, 2, 3]
+        assert parse_values(" 0.5 , 2 ") == [0.5, 2]
 
 
 class TestCompute:
@@ -440,12 +446,67 @@ class TestConfigEdges:
         (["sweep", "--vary", "r", "--values", "0.3", "--realizations", "0"],
          "--realizations must be >= 1"),
         (["bench", "--vary", "N", "--values", "100", "--runs", "0"], "--runs must be >= 1"),
-    ], ids=["m", "L", "max-rows", "offset", "n", "channels", "realizations", "runs"])
+        (["sweep", "--vary", "scale", "--values", "1,2", "--tau", "-1"], "--tau must be >= 1"),
+        (["sweep", "--vary", "r", "--values", "0.3", "--tau", "0"], "--tau must be >= 1"),
+        (["bench", "--vary", "N", "--values", "100", "--tau", "0"], "--tau must be >= 1"),
+    ], ids=["m", "L", "max-rows", "offset", "n", "channels", "realizations", "runs",
+            "sweep-tau-negative", "sweep-tau", "bench-tau"])
     def test_counts_below_their_least_value_exit_2(self, tmp_path, capsys, argv, flag):
         code, stdout, stderr = run(capsys, *argv, "--output", str(tmp_path / "x.csv"))
         assert code == 2
         assert flag in stderr
         assert "config:" not in stdout
+
+    @pytest.mark.parametrize("argv, named", [
+        (["generate", "--kind", "wgn", "--n", "1_0"], "--n: '1_0' is not a valid int"),
+        (["generate", "--kind", "wgn", "--n", "\u0663"], "--n: "),
+        (["generate", "--kind", "wgn", "--n", " 10"], "--n: "),
+        (["generate", "--kind", "wgn", "--n", "1" * 5000], "--n: "),
+        (["compute", "--input", "in.csv", "--r", "1_5", "--tolerance-mode", "absolute"],
+         "--r must be finite and > 0"),
+        (["compute", "--input", "in.csv", "--r", "0x1p-3"], "--r must be finite and > 0"),
+        (["compute", "--input", "in.csv", "--columns", "\u0661,0"], "--columns: "),
+    ], ids=["underscore", "arabic-digit", "padded", "too-many-digits", "float-underscore",
+            "hex-float", "arabic-index"])
+    def test_numbers_follow_one_ascii_grammar(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(capsys, *argv, "--output", str(out))
+        assert code == 2
+        assert named in stderr
+        assert "config:" not in stdout
+        assert not out.exists()
+
+    def test_numbers_are_echoed_and_written_as_converted(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, stdout, _ = run(capsys, "generate", "--kind", "wgn", "--n", "+050",
+                              "--sd", "0.50", "--seed", "007", "--output", str(out))
+        assert code == 0
+        converted = [("n", "50"), ("sd", "0.5"), ("seed", "7")]
+        assert [kv for kv in echoed(stdout) if kv[0] in ("n", "sd", "seed")] == converted
+        md = read_result(out).metadata
+        assert [(k, md[k]) for k in ("n", "sd", "seed")] == converted
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--vary", "m", "--values", "1.5,2.5"],
+        ["sweep", "--vary", "scale", "--values", "1.5,2"],
+        ["bench", "--vary", "channels", "--values", "2.5"],
+    ], ids=["sweep-m", "sweep-scale", "bench-channels"])
+    def test_fractional_integer_sweep_values_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(capsys, *argv, "--n", "100", "--output", str(out))
+        assert code == 2
+        assert "whole numbers" in stderr
+        assert not out.exists()
+
+    def test_replayed_tau_below_1_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        assert run(capsys, "sweep", "--vary", "r", "--values", "0.3", "--models", "wgn",
+                   "--n", "100", "--realizations", "1", "--output", str(path))[0] == 0
+        path.write_text(path.read_text().replace("# tau = 1\n", "# tau = 0\n"))
+        code, _, stderr = run(capsys, "replay", "--input", str(path),
+                              "--output", str(tmp_path / "redo.csv"))
+        assert code == 2
+        assert "--tau must be >= 1" in stderr
 
     @pytest.fixture
     def curve_file(self, record, tmp_path, capsys):
@@ -460,7 +521,12 @@ class TestConfigEdges:
         (lambda text: text.replace("# normalize = false\n", "# normalize = yes\n"),
          "--normalize"),
         (lambda text: text.replace("# offset = 0\n", "# offset = -1\n"), "--offset"),
-    ], ids=["missing-required", "not-an-int", "nan", "not-a-bool", "below-low"])
+        (lambda text: text.replace("# m = 2\n", "# m = 1_0\n"), "--m"),
+        (lambda text: text.replace("# r = 0.15\n", "# r = 0.1_5\n"), "--r"),
+        (lambda text: text.replace("# columns = \n", "# columns = \u0661,0\n"),
+         "--columns"),
+    ], ids=["missing-required", "not-an-int", "nan", "not-a-bool", "below-low",
+            "int-underscore", "float-underscore", "non-ascii-index"])
     def test_bad_replay_metadata_exits_2_naming_key(self, curve_file, tmp_path, capsys,
                                                      edit, named):
         text = curve_file.read_text()

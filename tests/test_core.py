@@ -10,14 +10,12 @@ from vemse import (
     InvalidParameterError,
     MultichannelSeries,
     ToleranceRule,
-    build_templates,
-    chebyshev_distance,
     coarse_grain,
-    match_stats,
     resolve_tolerance,
     sampen,
 )
-from oracles import naive_phi
+from vemse.estimators import _pair_counts
+from oracles import naive_counts, naive_templates
 
 
 class TestCoarseGrain:
@@ -61,85 +59,38 @@ class TestResolveTolerance:
             resolve_tolerance(np.ones((2, 10)), ToleranceRule.trace(0.15))
 
 
-class TestBuildTemplates:
-    def test_sliding_pairs(self):
-        t = build_templates([1, 2, 3, 4], 2, 1)
-        assert t.templates.tolist() == [[1, 2], [2, 3], [3, 4]]
+class TestPairCounts:
+    """Exact unordered pair counts (lo at dim d, hi at d + 1) from the kernel."""
 
-    def test_stride_two(self):
-        t = build_templates([1, 2, 3, 4, 5], 2, 2)
-        assert t.templates.tolist() == [[1, 3], [2, 4], [3, 5]]
-
-    def test_count(self):
-        t = build_templates(list(range(10)), 3, 1)
-        assert len(t) == 8
-
-    def test_too_short(self):
-        with pytest.raises(InvalidParameterError):
-            build_templates([1, 2, 3], 3, 2)
-
-
-class TestChebyshev:
-    def test_basic(self):
-        assert chebyshev_distance([1, 2], [1.1, 2.4]) == pytest.approx(0.4)
-
-    def test_identity(self):
-        assert chebyshev_distance([3.5, -1], [3.5, -1]) == 0.0
-
-    def test_absolute_value(self):
-        assert chebyshev_distance([0, 0, 0], [1, -2, 0.5]) == 2.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            chebyshev_distance([1, 2], [1, 2, 3])
-
-
-class TestMatchStats:
     def test_constant_signal_all_match(self):
-        t = build_templates([5.0] * 10, 2, 1)
-        stats = match_stats(t, 0.5)
-        assert np.all(stats.local_probabilities == 1.0)
-        assert stats.global_probability == 1.0
+        lo, hi = _pair_counts(np.full((1, 10), 5.0), 1, 0.5, [2])
+        assert (lo[0], hi[0]) == (9 * 8 // 2, 8 * 7 // 2)
 
     def test_no_pair_within_radius(self):
-        t = build_templates([0.0, 10.0, 20.0, 30.0], 1, 1)
-        stats = match_stats(t, 1.0)
-        assert np.all(stats.counts == 0)
-        assert stats.global_probability == 0.0
+        lo, hi = _pair_counts(np.array([[0.0, 10.0, 20.0, 30.0]]), 1, 1.0, [1])
+        assert (lo[0], hi[0]) == (0, 0)
 
     def test_self_match_excluded(self):
-        t = build_templates(np.zeros(50), 2, 1)
-        stats = match_stats(t, 1.0)
-        assert np.all(stats.counts == len(t) - 1)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(7)
-        t = build_templates(rng.standard_normal(60), 2, 1)
-        cnt = match_stats(t, 0.3).counts
-        # recount by hand, transposed: j matching i implies i matching j
-        tpl = t.templates
-        manual = np.array([
-            sum(1 for j in range(len(tpl))
-                if j != i and np.max(np.abs(tpl[i] - tpl[j])) <= 0.3)
-            for i in range(len(tpl))])
-        assert np.array_equal(cnt, manual)
+        # every distance is 0 or exactly the radius: with self-pairs left
+        # out and an inclusive boundary, all T(T-1)/2 pairs match
+        x = np.tile([0.0, 1.0], 25)[None, :]
+        lo, hi = _pair_counts(x, 1, 1.0, [2])
+        assert (lo[0], hi[0]) == (49 * 48 // 2, 48 * 47 // 2)
 
     def test_wgn_against_double_loop_oracle(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(200)
-        t = build_templates(x, 2, 1)
-        got = match_stats(t, 0.2).global_probability
-        want = naive_phi(list(x), 2, 1, 0.2)
-        assert got == pytest.approx(want, abs=1e-12)
+        lo, hi = _pair_counts(x[None, :], 1, 0.2, [2])
+        for count, dim in ((lo[0], 2), (hi[0], 3)):
+            assert 2 * count == sum(naive_counts(naive_templates(list(x), dim, 1), 0.2))
 
     def test_radius_monotonicity(self):
         rng = np.random.default_rng(3)
-        t = build_templates(rng.standard_normal(150), 2, 1)
-        prev = match_stats(t, 0.05)
+        chans = rng.standard_normal((2, 150))
+        prev = _pair_counts(chans, 1, 0.05, [2, 3])
         for radius in (0.1, 0.2, 0.5, 1.0):
-            cur = match_stats(t, radius)
-            assert np.all(cur.counts >= prev.counts)
-            assert cur.global_probability >= prev.global_probability
+            cur = _pair_counts(chans, 1, radius, [2, 3])
+            assert np.all(cur[0] >= prev[0]) and np.all(cur[1] >= prev[1])
             prev = cur
 
 

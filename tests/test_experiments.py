@@ -54,6 +54,13 @@ class TestRunSweep:
         with pytest.raises(InvalidParameterError):
             small_spec(bundles=[])
 
+    @pytest.mark.parametrize("vary", ["m", "N", "scale"])
+    def test_fractional_integer_values_rejected(self, vary):
+        with pytest.raises(InvalidParameterError, match="whole numbers"):
+            small_spec(swept_parameter=vary, sweep_values=[1, 2.5])
+        small_spec(swept_parameter=vary, sweep_values=[1.0, 2.0])
+        small_spec(swept_parameter="r", sweep_values=[0.1, 2.5])
+
     def test_mean_matches_manual_realizations(self):
         spec = small_spec(swept_parameter="m", sweep_values=[1, 2], tau=1,
                           realizations=2)
@@ -142,3 +149,8 @@ class TestTiming:
     def test_bad_vary(self):
         with pytest.raises(InvalidParameterError):
             timing_benchmark("r", [0.1])
+
+    @pytest.mark.parametrize("vary", ["scale", "N", "channels", "m"])
+    def test_fractional_values_rejected(self, vary):
+        with pytest.raises(InvalidParameterError, match="whole numbers"):
+            timing_benchmark(vary, [1, 2.5], n_samples=100, runs=1)

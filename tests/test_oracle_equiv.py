@@ -11,9 +11,7 @@ from vemse import (
     EntropyParams,
     MultichannelSeries,
     ToleranceRule,
-    build_templates,
     coarse_grain,
-    match_stats,
     mmse,
     sampen,
     vemse,
@@ -128,7 +126,6 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
     with mock.patch.object(estimators, "_BLOCK_CELLS", block):
         lo, hi = _pair_counts(chans, lag, radius, dims, caps)
         _, probs = _curve_point(chans, m, lag, radius, equal)
-        stats = match_stats(build_templates(chans[0], dims[0], lag), radius)
     want = [0.0, 0.0]
     for c, d in enumerate(dims):
         y = chans[c].tolist()
@@ -147,5 +144,3 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
         assert naive_phi(chans[-1].tolist(), dims[-1] + 1, lag, radius) is None
     else:
         assert probs == tuple(want)
-    assert stats.counts.tolist() == naive_counts(
-        naive_templates(chans[0].tolist(), dims[0], lag), radius)
