@@ -33,10 +33,9 @@ from .dataio import (
     timing_to_resultfile,
     write_result,
 )
-from .estimators import mmse, vemse
+from .estimators import vemse  # noqa: F401  kept bound: the benchmark tracer wraps it here
 from .series import (
     DegenerateToleranceError,
-    EntropyParams,
     InvalidParameterError,
     MultichannelSeries,
     ToleranceRule,
@@ -268,20 +267,12 @@ def _load_input(values: dict) -> MultichannelSeries:
 
 
 def run_compute(values: dict, cfg: dict) -> ResultFile:
-    data = _load_input(values)
-    estimator = values["estimator"]
-    params = EntropyParams(m=values["m"], r=values["r"], L=values["L"],
-                           scales=parse_values(values["scales"]))
-    rule = ToleranceRule(mode=values["tolerance_mode"], value=values["r"])
-    if estimator == "mmse":
-        curve = mmse(data, [params.m] * data.n_channels, rule, scales=params.scales)
-    else:
-        if estimator != "vemse":
-            data = MultichannelSeries(data.channels[:1], sample_rate_hz=data.sample_rate_hz)
-        curve = vemse(data, params, rule,
-                      normalize=values["normalize"],
-                      per_scale_tolerance=values["per_scale_tolerance"],
-                      equal_template_count=values["equal_template_count"])
+    curve = experiments._estimate_curve(
+        values["estimator"], _load_input(values).channels, values["m"], values["r"],
+        values["L"], parse_values(values["scales"]),
+        ToleranceRule(mode=values["tolerance_mode"], value=values["r"]),
+        normalize=values["normalize"], per_scale_tolerance=values["per_scale_tolerance"],
+        equal_template_count=values["equal_template_count"])
     if curve.radius is not None:
         print("config: resolved_radius = %r" % (curve.radius,))
     return curve_to_resultfile(curve, metadata=cfg)
@@ -300,9 +291,8 @@ def run_sweep(values: dict, cfg: dict) -> ResultFile:
 
 
 def run_generate(values: dict, cfg: dict) -> ResultFile:
-    data = np.stack([values["sd"] * experiments.generate_channel(
-                         values["kind"], values["n"], (values["seed"], 0, c))
-                     for c in range(values["channels"])])
+    bundle = experiments.ModelBundle.homogeneous(values["kind"], values["channels"])
+    data = values["sd"] * experiments.realize_bundle(bundle, values["n"], values["seed"], 0)
     return record_to_resultfile(data, metadata=cfg)
 
 

@@ -5,6 +5,13 @@ On-disk format (both records and results): UTF-8 CSV, "," separator,
 "# key = value"; then a header row, then data rows. Undefined values are
 serialized as empty fields. Floats are written with repr(), the shortest
 decimal that round-trips, so replayed runs are bit-faithful.
+
+The *_to_resultfile converters write the metadata their caller passes;
+the curve, ensemble and timing ones add only a "kind" key (curves also
+"has_negative"), no description of the run of their own. The CLI passes its full option
+config, which is what replay reads back. Only curves have a reader back
+to their object (curve_from_resultfile); ensemble and timing files are
+read as plain tables with read_result.
 """
 from __future__ import annotations
 
@@ -16,7 +23,6 @@ from itertools import islice
 
 import numpy as np
 
-from .experiments import EnsembleResult, TimingReport
 from .series import (
     EntropyCurve,
     InvalidParameterError,
@@ -35,9 +41,7 @@ __all__ = [
     "curve_to_resultfile",
     "curve_from_resultfile",
     "ensemble_to_resultfile",
-    "ensemble_from_resultfile",
     "timing_to_resultfile",
-    "timing_from_resultfile",
 ]
 
 
@@ -45,8 +49,9 @@ __all__ = [
 class ResultFile:
     """A metadata block plus a rectangular table of cells.
 
-    Cells are int, float, str, or None (undefined). The metadata block
-    records everything needed to reproduce the run.
+    Cells are int, float, str, or None (undefined). The metadata is what
+    the writer's caller passed; a file written by the CLI holds every
+    option of its run, so it can be replayed.
     """
 
     metadata: dict = field(default_factory=dict)
@@ -293,15 +298,10 @@ def curve_from_resultfile(rf: ResultFile) -> EntropyCurve:
     return EntropyCurve(scales=scales, values=values, probs=probs)
 
 
-def ensemble_to_resultfile(result: EnsembleResult, metadata=None) -> ResultFile:
+def ensemble_to_resultfile(result, metadata=None) -> ResultFile:
+    """An experiments.EnsembleResult as one row per (model, sweep value), model-major."""
     md = dict(metadata or {})
     md.setdefault("kind", "ensemble")
-    for key, value in result.config.items():
-        md.setdefault(key, str(value))
-    md.setdefault("estimator", result.estimator)
-    md.setdefault("vary", result.swept_parameter)
-    md.setdefault("realizations", str(result.realizations))
-    md.setdefault("seed", str(result.base_seed))
     columns = ["model", "sweep_value", "mean", "std", "defined_count"]
     rows = []
     for mi, model in enumerate(result.model_names):
@@ -311,60 +311,13 @@ def ensemble_to_resultfile(result: EnsembleResult, metadata=None) -> ResultFile:
     return ResultFile(metadata=md, columns=columns, rows=rows)
 
 
-def ensemble_from_resultfile(rf: ResultFile) -> EnsembleResult:
-    models = []
-    for row in rf.rows:
-        if row[0] not in models:
-            models.append(row[0])
-    values = []
-    for row in rf.rows:
-        if row[0] == models[0]:
-            values.append(row[1])
-    mean = [[None] * len(values) for _ in models]
-    std = [[None] * len(values) for _ in models]
-    count = [[0] * len(values) for _ in models]
-    for row in rf.rows:
-        mi = models.index(row[0])
-        vi = values.index(row[1])
-        mean[mi][vi] = None if row[2] is None else float(row[2])
-        std[mi][vi] = None if row[3] is None else float(row[3])
-        count[mi][vi] = int(row[4])
-    md = rf.metadata
-    return EnsembleResult(
-        estimator=md.get("estimator", ""),
-        swept_parameter=md.get("vary", ""),
-        sweep_values=values,
-        model_names=models,
-        mean=mean,
-        std=std,
-        defined_count=count,
-        realizations=int(md.get("realizations", "0")),
-        base_seed=int(md.get("seed", "0")),
-        config={k: v for k, v in md.items() if k not in ("kind", "command")},
-    )
-
-
-def timing_to_resultfile(report: TimingReport, metadata=None) -> ResultFile:
+def timing_to_resultfile(report, metadata=None) -> ResultFile:
+    """An experiments.TimingReport as one row per sweep value."""
     md = dict(metadata or {})
     md.setdefault("kind", "timing")
-    for key, value in report.config.items():
-        md.setdefault(key, str(value))
     columns = ["sweep_value", "vemse_mean_s", "vemse_median_s",
                "mmse_mean_s", "mmse_median_s", "runs"]
     rows = [[v, report.vemse_mean[i], report.vemse_median[i],
              report.mmse_mean[i], report.mmse_median[i], report.runs]
             for i, v in enumerate(report.values)]
     return ResultFile(metadata=md, columns=columns, rows=rows)
-
-
-def timing_from_resultfile(rf: ResultFile) -> TimingReport:
-    return TimingReport(
-        vary=rf.metadata.get("vary", ""),
-        values=[r[0] for r in rf.rows],
-        vemse_mean=[float(r[1]) for r in rf.rows],
-        vemse_median=[float(r[2]) for r in rf.rows],
-        mmse_mean=[float(r[3]) for r in rf.rows],
-        mmse_median=[float(r[4]) for r in rf.rows],
-        runs=int(rf.rows[0][5]) if rf.rows else 0,
-        config={k: v for k, v in rf.metadata.items() if k != "kind"},
-    )

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -130,22 +131,6 @@ class SweepSpec:
         if self.realizations < 1:
             raise InvalidParameterError("realizations must be >= 1")
 
-    def config_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "vary": self.swept_parameter,
-            "values": ",".join(str(v) for v in self.sweep_values),
-            "models": ",".join(b.name for b in self.bundles),
-            "channels": ",".join(str(len(b.kinds)) for b in self.bundles),
-            "m": self.m,
-            "r": self.r,
-            "L": self.lag,
-            "n": self.n_samples,
-            "tau": self.tau,
-            "realizations": self.realizations,
-            "seed": self.base_seed,
-        }
-
 
 @dataclass
 class EnsembleResult:
@@ -160,7 +145,6 @@ class EnsembleResult:
     defined_count: list[list[int]]
     realizations: int
     base_seed: int
-    config: dict = field(default_factory=dict)
 
     def row(self, model: str):
         i = self.model_names.index(model)
@@ -182,15 +166,26 @@ def _aggregate(per_value_samples):
     return means, stds, counts
 
 
-def _estimate_curve(estimator, channels, m, r, lag, scales):
-    """One estimator's curve; sampen and mse use the first channel only."""
-    rule = ToleranceRule.trace(r)
-    if estimator == "mmse":
-        return mmse(MultichannelSeries(channels), [m] * channels.shape[0], rule,
-                    scales=scales)
-    data = channels if estimator == "vemse" else channels[:1]
+def _estimate_curve(estimator, channels, m, r, lag, scales, rule=None, **flags):
+    """The one map from an estimator name to its call, on (P, N) channels.
+
+    sampen and mse use the first channel only. mmse embeds every channel
+    at dimension m and lag `lag`, and refuses the flags only vemse reads
+    (per_scale_tolerance, equal_template_count). rule defaults to the
+    covariance trace times r.
+    """
     params = EntropyParams(m=m, r=r, L=lag, scales=list(scales))
-    return vemse(MultichannelSeries(data), params, rule)
+    rule = rule or ToleranceRule.trace(r)
+    if estimator == "mmse":
+        for key in ("per_scale_tolerance", "equal_template_count"):
+            if flags.get(key):
+                raise InvalidParameterError("mmse does not take %s (--%s)"
+                                            % (key, key.replace("_", "-")))
+        p = channels.shape[0]
+        return mmse(MultichannelSeries(channels), [m] * p, rule, lags=[lag] * p,
+                    scales=params.scales)
+    data = channels if estimator == "vemse" else channels[:1]
+    return vemse(MultichannelSeries(data), params, rule, **flags)
 
 
 def run_sweep(spec: SweepSpec) -> EnsembleResult:
@@ -243,7 +238,6 @@ def run_sweep(spec: SweepSpec) -> EnsembleResult:
         defined_count=count_rows,
         realizations=spec.realizations,
         base_seed=spec.base_seed,
-        config=spec.config_dict(),
     )
 
 
@@ -309,22 +303,21 @@ def directionality_study(
     pairs = [tuple(p) for p in pairs]
     if any(len(p) != 2 for p in pairs):
         raise InvalidParameterError("each pair must name exactly 2 channels")
+    if realizations < 1:
+        raise InvalidParameterError("realizations must be >= 1")
     scales = list(scales) if scales is not None else list(range(1, 21))
-    rule = ToleranceRule.trace(r)
-    params = EntropyParams(m=m, r=r, L=lag, scales=scales)
 
     names, mean_rows, std_rows, count_rows = [], [], [], []
     for a, b in pairs:
         fwd = [[] for _ in scales]
         rev = [[] for _ in scales]
         for k in range(realizations):
-            xa = generate_channel(a, n_samples, (base_seed, k, 0))
-            xb = generate_channel(b, n_samples, (base_seed, k, 1))
-            cf = vemse(MultichannelSeries(np.stack([xa, xb])), params, rule)
-            cr = vemse(MultichannelSeries(np.stack([xb, xa])), params, rule)
-            for i in range(len(scales)):
-                fwd[i].append(cf.values[i])
-                rev[i].append(cr.values[i])
+            chans = realize_bundle(ModelBundle("%s|%s" % (a, b), [a, b]), n_samples,
+                                   base_seed, k)
+            for samples, rows in ((fwd, chans), (rev, chans[::-1])):
+                curve = _estimate_curve("vemse", rows, m, r, lag, scales)
+                for i, v in enumerate(curve.values):
+                    samples[i].append(v)
         for name, samples in (("%s|%s" % (a, b), fwd), ("%s|%s" % (b, a), rev)):
             means, stds, counts = _aggregate(samples)
             names.append(name)
@@ -336,9 +329,6 @@ def directionality_study(
         model_names=names, mean=mean_rows, std=std_rows,
         defined_count=count_rows, realizations=realizations,
         base_seed=base_seed,
-        config={"study": "directionality", "pairs": ";".join("%s,%s" % p for p in pairs),
-                "m": m, "r": r, "L": lag, "n": n_samples,
-                "realizations": realizations, "seed": base_seed},
     )
 
 
@@ -353,7 +343,6 @@ class TimingReport:
     mmse_mean: list[float]
     mmse_median: list[float]
     runs: int
-    config: dict = field(default_factory=dict)
 
 
 def timing_benchmark(
@@ -378,25 +367,18 @@ def timing_benchmark(
     values = list(values)
     if any(v % 1 != 0 for v in values):
         raise InvalidParameterError("%s values must be whole numbers" % (vary,))
-    rule = ToleranceRule.trace(r)
+    if runs < 1:
+        raise InvalidParameterError("runs must be >= 1")
     ve_mean, ve_med, mm_mean, mm_med = [], [], [], []
     for v in values:
         n = int(v) if vary == "N" else n_samples
         p = int(v) if vary == "channels" else channels
         dim = int(v) if vary == "m" else m
         scale = int(v) if vary == "scale" else tau
-        chans = np.stack([generate_wgn(n, 1.0, (base_seed, 0, c)) for c in range(p)])
-        data = MultichannelSeries(chans)
-        params = EntropyParams(m=dim, r=r, L=1, scales=[scale])
-
-        def run_vemse():
-            vemse(data, params, rule)
-
-        def run_mmse():
-            mmse(data, [dim] * p, rule, scales=[scale])
-
+        chans = realize_bundle(ModelBundle.homogeneous("wgn", p), n, base_seed, 0)
         times = {}
-        for name, fn in (("vemse", run_vemse), ("mmse", run_mmse)):
+        for name in ("vemse", "mmse"):
+            fn = partial(_estimate_curve, name, chans, dim, r, 1, [scale])
             fn()  # warm-up, untimed
             laps = []
             for _ in range(runs):
@@ -413,7 +395,4 @@ def timing_benchmark(
         vemse_mean=ve_mean, vemse_median=ve_med,
         mmse_mean=mm_mean, mmse_median=mm_med,
         runs=runs,
-        config={"vary": vary, "values": ",".join(str(v) for v in values),
-                "n": n_samples, "channels": channels, "m": m, "tau": tau,
-                "r": r, "runs": runs, "seed": base_seed},
     )

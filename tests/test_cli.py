@@ -15,6 +15,8 @@ from vemse import (
 )
 from vemse.cli import CliConfigError, _build_parser, main, parse_values, replay
 
+from oracles import naive_mmse
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -210,6 +212,53 @@ class TestCompute:
         assert code == 0
         script = (tmp_path / "c.csv.gp").read_text()
         assert "plot" in script
+
+
+class TestMmseLag:
+    """mmse embeds every channel at lag --L, and refuses the flags only vemse reads."""
+
+    @pytest.fixture
+    def short_record(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        assert main(["generate", "--kind", "ar2", "--n", "150", "--channels", "2",
+                     "--seed", "5", "--output", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_compute_matches_the_oracle_and_replays(self, short_record, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code, _, _ = run(capsys, "compute", "--estimator", "mmse", "--input",
+                         str(short_record), "--L", "2", "--r", "0.3", "--scales", "1..2",
+                         "--output", str(out))
+        assert code == 0
+        chans = load_record(short_record).channels
+        want = naive_mmse([list(c) for c in chans], [2, 2], 0.3, [2, 2], [1, 2])
+        assert None not in want
+        assert [row[1] for row in read_result(out).rows] == pytest.approx(want, abs=1e-12)
+        redo = tmp_path / "redo.csv"
+        replay(out, redo)
+        assert out.read_bytes() == redo.read_bytes()
+
+    def test_sweep_lag_changes_the_means(self, tmp_path, capsys):
+        rows = {}
+        for lag in ("1", "2"):
+            out = tmp_path / ("s%s.csv" % lag)
+            code, _, _ = run(capsys, "sweep", "--estimator", "mmse", "--vary", "scale",
+                             "--values", "1..2", "--models", "ar1", "--n", "200",
+                             "--realizations", "2", "--L", lag, "--output", str(out))
+            assert code == 0
+            rows[lag] = [row[2] for row in read_result(out).rows]
+        assert None not in rows["1"] + rows["2"]
+        assert rows["1"] != rows["2"]
+
+    @pytest.mark.parametrize("flag", ["--per-scale-tolerance", "--equal-template-count"])
+    def test_vemse_only_flags_exit_2(self, short_record, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(capsys, "compute", "--estimator", "mmse", "--input",
+                              str(short_record), flag, "--output", str(out))
+        assert code == 2
+        assert flag in stderr
+        assert not out.exists()
 
 
 class TestGenerate:

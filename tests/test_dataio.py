@@ -23,9 +23,7 @@ from vemse import (
 from vemse.dataio import (
     curve_from_resultfile,
     curve_to_resultfile,
-    ensemble_from_resultfile,
     ensemble_to_resultfile,
-    timing_from_resultfile,
     timing_to_resultfile,
 )
 from vemse.experiments import EnsembleResult, TimingReport
@@ -72,43 +70,67 @@ class TestResultFileRoundTrip:
         assert raw.startswith(b"# key = value\n")
 
 
-class TestEnsembleRoundTrip:
-    def test_round_trip(self, tmp_path):
+class TestEnsembleWriter:
+    """ensemble files have no reader of their own; read_result reads them back."""
+
+    def write(self, tmp_path, metadata=None):
         res = EnsembleResult(
             estimator="vemse", swept_parameter="m", sweep_values=[1, 2, 3],
             model_names=["wgn", "ar3"],
             mean=[[1.0, 0.9, None], [0.5, 0.4, 0.3]],
             std=[[0.1, 0.2, None], [0.0, 0.01, 0.02]],
-            defined_count=[[20, 20, 0], [20, 20, 20]],
+            defined_count=[[20.0, 20.0, 0.0], [20, 20, 20]],
             realizations=20, base_seed=5,
-            config={"estimator": "vemse", "vary": "m", "realizations": "20",
-                    "seed": "5"},
         )
         path = tmp_path / "e.csv"
-        write_result(ensemble_to_resultfile(res), path)
-        back = ensemble_from_resultfile(read_result(path))
-        assert back.sweep_values == res.sweep_values
-        assert back.model_names == res.model_names
-        assert back.mean == res.mean
-        assert back.std == res.std
-        assert back.defined_count == res.defined_count
-        assert back.realizations == res.realizations
-        assert back.base_seed == res.base_seed
+        write_result(ensemble_to_resultfile(res, metadata), path)
+        return path
+
+    def test_rows_are_model_major(self, tmp_path):
+        rf = read_result(self.write(tmp_path))
+        assert rf.columns == ["model", "sweep_value", "mean", "std", "defined_count"]
+        assert [row[:2] for row in rf.rows] == [
+            ["wgn", 1], ["wgn", 2], ["wgn", 3], ["ar3", 1], ["ar3", 2], ["ar3", 3]]
+        assert rf.rows[4] == ["ar3", 2, 0.4, 0.01, 20]
+
+    def test_undefined_point_is_empty_cells(self, tmp_path):
+        path = self.write(tmp_path)
+        assert "\nwgn,3,,,0\n" in path.read_text()
+        assert read_result(path).rows[2] == ["wgn", 3, None, None, 0]
+
+    def test_defined_count_is_written_as_int(self, tmp_path):
+        path = self.write(tmp_path)
+        assert "\nwgn,1,1.0,0.1,20\n" in path.read_text()
+        assert all(type(row[4]) is int for row in read_result(path).rows)
+
+    def test_metadata_is_the_callers_plus_kind(self, tmp_path):
+        md = {"command": "sweep", "values": "1..3", "channels": "2"}
+        written = read_result(self.write(tmp_path, md)).metadata
+        assert list(written.items()) == list(md.items()) + [("kind", "ensemble")]
+        assert read_result(self.write(tmp_path)).metadata == {"kind": "ensemble"}
 
 
-class TestTimingRoundTrip:
-    def test_round_trip(self, tmp_path):
+class TestTimingWriter:
+    def write(self, tmp_path, metadata=None):
         rep = TimingReport(vary="N", values=[1000, 2000],
                            vemse_mean=[0.1, 0.2], vemse_median=[0.09, 0.19],
-                           mmse_mean=[0.15, 0.3], mmse_median=[0.14, 0.29],
-                           runs=10, config={"vary": "N"})
+                           mmse_mean=[0.15, 0.3], mmse_median=[0.14, 0.29], runs=10)
         path = tmp_path / "t.csv"
-        write_result(timing_to_resultfile(rep), path)
-        back = timing_from_resultfile(read_result(path))
-        assert back.values == rep.values
-        assert back.vemse_mean == rep.vemse_mean
-        assert back.mmse_median == rep.mmse_median
-        assert back.runs == 10
+        write_result(timing_to_resultfile(rep, metadata), path)
+        return path
+
+    def test_one_row_per_sweep_value(self, tmp_path):
+        rf = read_result(self.write(tmp_path))
+        assert rf.columns == ["sweep_value", "vemse_mean_s", "vemse_median_s",
+                              "mmse_mean_s", "mmse_median_s", "runs"]
+        assert rf.rows == [[1000, 0.1, 0.09, 0.15, 0.14, 10],
+                           [2000, 0.2, 0.19, 0.3, 0.29, 10]]
+
+    def test_metadata_is_the_callers_plus_kind(self, tmp_path):
+        md = {"command": "bench", "vary": "N", "values": "1000,2000"}
+        written = read_result(self.write(tmp_path, md)).metadata
+        assert list(written.items()) == list(md.items()) + [("kind", "timing")]
+        assert read_result(self.write(tmp_path)).metadata == {"kind": "timing"}
 
 
 class TestRecords:

@@ -35,6 +35,14 @@ def test_estimator_tour_demo_runs():
     assert "tau   vemse    mmse" in proc.stdout
 
 
+def test_noise_and_directionality_demo_runs():
+    proc = run_demo("03_noise_and_directionality.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "ar3+wgn20" in proc.stdout
+    assert "channel-order reversal" in proc.stdout
+    assert "wgn|ar1" in proc.stdout and "ar1|wgn" in proc.stdout
+
+
 def test_record_pipeline_demo_replays_byte_identical():
     proc = run_demo("05_record_pipeline.py")
     assert proc.returncode == 0, proc.stderr

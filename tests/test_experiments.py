@@ -10,12 +10,14 @@ from vemse import (
     SweepSpec,
     ToleranceRule,
     directionality_study,
+    mmse,
     noise_robustness_study,
     run_sweep,
+    sampen,
     timing_benchmark,
     vemse,
 )
-from vemse.experiments import realize_bundle, _estimate_curve
+from vemse.experiments import _estimate_curve, generate_channel, realize_bundle
 
 
 def small_spec(**overrides):
@@ -70,7 +72,9 @@ class TestRunSweep:
                 vals = []
                 for k in range(spec.realizations):
                     chans = realize_bundle(bundle, spec.n_samples, spec.base_seed, k)
-                    vals.append(_estimate_curve("vemse", chans, m, spec.r, 1, [1]).values[0])
+                    curve = _estimate_curve("vemse", chans, m, spec.r, 1, [1],
+                                            ToleranceRule.trace(spec.r))
+                    vals.append(curve.values[0])
                 defined = [v for v in vals if v is not None]
                 assert res.mean[mi][vi] == pytest.approx(float(np.mean(defined)))
 
@@ -85,6 +89,30 @@ class TestRunSweep:
         # larger tolerance, lower entropy, on average
         for row in res.mean:
             assert row[0] > row[-1]
+
+
+class TestEstimateCurve:
+    """The one map from an estimator name to its call."""
+
+    chans = realize_bundle(ModelBundle.homogeneous("ar2"), 300, 2, 0)
+
+    def test_mmse_embeds_every_channel_at_the_lag(self):
+        got = _estimate_curve("mmse", self.chans, 2, 0.2, 2, [1, 2])
+        want = mmse(MultichannelSeries(self.chans), [2, 2], ToleranceRule.trace(0.2),
+                    lags=[2, 2], scales=[1, 2])
+        assert got == want
+        assert got != _estimate_curve("mmse", self.chans, 2, 0.2, 1, [1, 2])
+
+    def test_sampen_uses_the_first_channel_and_the_rule(self):
+        curve = _estimate_curve("sampen", self.chans, 2, 0.3, 1, [1],
+                                ToleranceRule.absolute(0.3), equal_template_count=True)
+        assert curve.values[0] == sampen(self.chans[0], 2, 0.3, equal_template_count=True)
+
+    @pytest.mark.parametrize("flag", ["per_scale_tolerance", "equal_template_count"])
+    def test_mmse_refuses_the_vemse_flags(self, flag):
+        with pytest.raises(InvalidParameterError, match=flag):
+            _estimate_curve("mmse", self.chans, 2, 0.2, 1, [1], **{flag: True})
+        _estimate_curve("mmse", self.chans, 2, 0.2, 1, [1], **{flag: False})
 
 
 class TestNoiseRobustness:
@@ -134,6 +162,20 @@ class TestDirectionality:
         with pytest.raises(InvalidParameterError):
             directionality_study([("wgn",)], n_samples=100, realizations=1)
 
+    def test_no_realizations_rejected(self):
+        with pytest.raises(InvalidParameterError, match="realizations"):
+            directionality_study([("wgn", "ar1")], n_samples=100, realizations=0)
+
+    def test_rows_are_the_pair_and_its_row_flip(self):
+        res = directionality_study([("wgn", "ar1")], n_samples=300, scales=[1, 2],
+                                   realizations=1, base_seed=4)
+        # channel c of realization k is seeded (base_seed, k, c)
+        chans = np.stack([generate_channel("wgn", 300, (4, 0, 0)),
+                          generate_channel("ar1", 300, (4, 0, 1))])
+        params = EntropyParams(m=2, r=0.15, scales=[1, 2])
+        assert res.mean[0] == vemse(MultichannelSeries(chans), params).values
+        assert res.mean[1] == vemse(MultichannelSeries(chans[::-1].copy()), params).values
+
 
 class TestTiming:
     def test_report_shape_and_positive_times(self):
@@ -149,6 +191,10 @@ class TestTiming:
     def test_bad_vary(self):
         with pytest.raises(InvalidParameterError):
             timing_benchmark("r", [0.1])
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(InvalidParameterError, match="runs"):
+            timing_benchmark("N", [100], runs=0)
 
     @pytest.mark.parametrize("vary", ["scale", "N", "channels", "m"])
     def test_fractional_values_rejected(self, vary):
