@@ -169,13 +169,14 @@ def _curve_point(channels: np.ndarray, m: int, lag: int, radius: float,
     and m+c+1 for the second; the per-channel probabilities are summed
     before the log ratio. Each probability is the exact ratio of ordered
     matching pairs to T*(T-1), which equals the mean of the per-template
-    local probabilities. Returns (value_or_None, probs_or_None).
+    local probabilities. Returns (phi_m, phi_m1), or None when the second
+    pass has fewer than two templates.
     """
     p, n = channels.shape
     dims = list(range(m, m + p))
     t_hi = [n - d * lag for d in dims]
     if t_hi[-1] < 2:
-        return None, None
+        return None
     t_lo = t_hi if equal_template_count else [n - (d - 1) * lag for d in dims]
     lo, hi = _pair_counts(channels, lag, radius, dims,
                           caps=t_hi if equal_template_count else None)
@@ -184,10 +185,14 @@ def _curve_point(channels: np.ndarray, m: int, lag: int, radius: float,
     for c in range(p):
         phi_lo += int(2 * lo[c]) / (t_lo[c] * (t_lo[c] - 1))
         phi_hi += int(2 * hi[c]) / (t_hi[c] * (t_hi[c] - 1))
-    probs = (phi_lo, phi_hi)
-    if phi_lo == 0.0 or phi_hi == 0.0:
-        return None, probs
-    return -math.log(phi_hi / phi_lo), probs
+    return phi_lo, phi_hi
+
+
+def _log_ratio(probs):
+    """-ln(phi_m1 / phi_m), or None when the point is infeasible or matchless."""
+    if probs is None or 0.0 in probs:
+        return None
+    return -math.log(probs[1] / probs[0])
 
 
 def _zscore(chans: np.ndarray) -> np.ndarray:
@@ -240,17 +245,13 @@ def vemse(
     probs: list[tuple[float, float] | None] = []
     for tau in params.scales:
         cg = np.stack([coarse_grain(ch, tau) for ch in chans])
-        r_abs = radius
-        if per_scale_tolerance:
-            try:
-                r_abs = resolve_tolerance(cg, rule)
-            except DegenerateToleranceError:
-                # constant at this scale: the point is undefined
-                values.append(None)
-                probs.append(None)
-                continue
-        value, pr = _curve_point(cg, params.m, params.L, r_abs, equal_template_count)
-        values.append(value)
+        try:
+            r_abs = resolve_tolerance(cg, rule) if per_scale_tolerance else radius
+        except DegenerateToleranceError:
+            pr = None  # constant at this scale: the point is undefined
+        else:
+            pr = _curve_point(cg, params.m, params.L, r_abs, equal_template_count)
+        values.append(_log_ratio(pr))
         probs.append(pr)
     return EntropyCurve(scales=list(params.scales), values=values, probs=probs,
                         radius=radius)
@@ -272,8 +273,7 @@ def sampen(x, m: int, r_abs: float, lag: int = 1, *, equal_template_count: bool 
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError("input contains non-finite samples")
-    value, _ = _curve_point(x[None, :], m, lag, r_abs, equal_template_count)
-    return value
+    return _log_ratio(_curve_point(x[None, :], m, lag, r_abs, equal_template_count))
 
 
 def _cdv_phi(channels, dims, lags, radius: float):
@@ -341,26 +341,15 @@ def mmse(
         if tau < 1 or tau > data.n_samples:
             raise InvalidParameterError("scale %r out of range" % (tau,))
         cg = [coarse_grain(ch, tau) for ch in chans]
-        phi = _cdv_phi(cg, dims, lags, radius)
-        phi_ways = []
-        feasible = phi is not None
-        if feasible:
-            for c_star in range(p):
-                bumped = list(dims)
-                bumped[c_star] += 1
-                w = _cdv_phi(cg, bumped, lags, radius)
-                if w is None:
-                    feasible = False
-                    break
-                phi_ways.append(w)
-        if not feasible:
-            values.append(None)
-            probs.append(None)
-            continue
-        phi_star = math.fsum(phi_ways) / p
-        probs.append((phi, phi_star))
-        if phi == 0.0 or phi_star == 0.0:
-            values.append(None)
-        else:
-            values.append(-math.log(phi_star / phi))
+        # the pass at dims, then one per channel with its dimension
+        # incremented, up to the first with fewer than two templates
+        phis = []
+        for bump in range(-1, p):
+            phi = _cdv_phi(cg, [d + (c == bump) for c, d in enumerate(dims)], lags, radius)
+            if phi is None:
+                break
+            phis.append(phi)
+        pr = (phis[0], math.fsum(phis[1:]) / p) if len(phis) == p + 1 else None
+        values.append(_log_ratio(pr))
+        probs.append(pr)
     return EntropyCurve(scales=scales, values=values, probs=probs, radius=radius)

@@ -5,9 +5,12 @@ RNG seeded with (base_seed, k, c), so reruns reproduce results exactly
 and growing the realization count only appends realizations. Noise
 channels mixed into a signal use the offset stream (base_seed, k, c+64).
 
-Ensemble statistics are taken over the defined realizations only, with
-the defined count reported per point; std is the population standard
-deviation so a single realization yields std = 0.
+Every ensemble is built by one aggregator (_ensemble). Its statistics
+are taken over the defined realizations only, with the defined count
+reported per point; std is the population standard deviation so a single
+realization yields std = 0. Row names are unique: a sweep listing a model
+twice, or a directionality pair whose rows would share a name, is refused
+before any estimate is made.
 """
 from __future__ import annotations
 
@@ -82,8 +85,8 @@ class ModelBundle:
             raise InvalidParameterError("noise_ratio must be >= 0")
 
     @classmethod
-    def homogeneous(cls, kind: str, channels: int = 2, **kwargs) -> "ModelBundle":
-        return cls(name=kind, kinds=[kind] * channels, **kwargs)
+    def homogeneous(cls, kind: str, channels: int = 2) -> "ModelBundle":
+        return cls(name=kind, kinds=[kind] * channels)
 
 
 def realize_bundle(bundle: ModelBundle, n: int, base_seed: int, k: int) -> np.ndarray:
@@ -128,6 +131,7 @@ class SweepSpec:
             raise InvalidParameterError("%s values must be whole numbers" % self.swept_parameter)
         if not self.bundles:
             raise InvalidParameterError("model_set must be non-empty")
+        _check_unique([b.name for b in self.bundles])
         if self.realizations < 1:
             raise InvalidParameterError("realizations must be >= 1")
 
@@ -136,34 +140,40 @@ class SweepSpec:
 class EnsembleResult:
     """Mean/std/defined-count per (model, sweep value) over R realizations."""
 
-    estimator: str
-    swept_parameter: str
     sweep_values: list
     model_names: list[str]
     mean: list[list[float | None]]
     std: list[list[float | None]]
     defined_count: list[list[int]]
     realizations: int
-    base_seed: int
 
     def row(self, model: str):
         i = self.model_names.index(model)
         return self.mean[i], self.std[i], self.defined_count[i]
 
 
-def _aggregate(per_value_samples):
-    """Reduce lists of (float | None) samples to mean/std/defined-count."""
+def _check_unique(names):
+    """Refuse a repeated row name: row() could reach only its first row."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise InvalidParameterError("row name %r is repeated" % (name,))
+
+
+def _ensemble(rows, values, realizations) -> EnsembleResult:
+    """The one builder of an EnsembleResult.
+
+    rows are (name, samples) pairs; samples[i] holds one float or None
+    per realization at sweep value i.
+    """
     means, stds, counts = [], [], []
-    for samples in per_value_samples:
-        defined = [v for v in samples if v is not None]
-        counts.append(len(defined))
-        if defined:
-            means.append(float(np.mean(defined)))
-            stds.append(float(np.std(defined)))
-        else:
-            means.append(None)
-            stds.append(None)
-    return means, stds, counts
+    for _, samples in rows:
+        defined = [[v for v in point if v is not None] for point in samples]
+        counts.append([len(d) for d in defined])
+        means.append([float(np.mean(d)) if d else None for d in defined])
+        stds.append([float(np.std(d)) if d else None for d in defined])
+    return EnsembleResult(sweep_values=list(values), model_names=[name for name, _ in rows],
+                          mean=means, std=stds, defined_count=counts,
+                          realizations=realizations)
 
 
 def _estimate_curve(estimator, channels, m, r, lag, scales, rule=None, **flags):
@@ -188,57 +198,39 @@ def _estimate_curve(estimator, channels, m, r, lag, scales, rule=None, **flags):
     return vemse(MultichannelSeries(data), params, rule, **flags)
 
 
+def _realization(spec: SweepSpec, bundle: ModelBundle, k: int) -> list:
+    """Realization k of a bundle, estimated at every sweep value.
+
+    The data is drawn once, or once per length when N varies. A scale
+    sweep is one curve; the other sweeps are one point each, at scale tau.
+    """
+    vary = spec.swept_parameter
+    if vary != "N":
+        chans = realize_bundle(bundle, spec.n_samples, spec.base_seed, k)
+    if vary == "scale":
+        return _estimate_curve(spec.estimator, chans, spec.m, spec.r, spec.lag,
+                               spec.sweep_values).values
+    points = []
+    for v in spec.sweep_values:
+        if vary == "N":
+            chans = realize_bundle(bundle, int(v), spec.base_seed, k)
+        m = int(v) if vary == "m" else spec.m
+        r = float(v) if vary == "r" else spec.r
+        points.append(_estimate_curve(spec.estimator, chans, m, r, spec.lag,
+                                      [spec.tau]).values[0])
+    return points
+
+
 def run_sweep(spec: SweepSpec) -> EnsembleResult:
     """Run a sweep and return the ensemble statistics behind its error bars.
 
     Feasibility is checked per point: infeasible or matchless points are
     recorded as undefined and simply lower defined_count.
     """
-    values = list(spec.sweep_values)
-    mean_rows, std_rows, count_rows = [], [], []
-    for bundle in spec.bundles:
-        if spec.swept_parameter == "scale":
-            samples = [[] for _ in values]
-            for k in range(spec.realizations):
-                chans = realize_bundle(bundle, spec.n_samples, spec.base_seed, k)
-                curve = _estimate_curve(spec.estimator, chans, spec.m, spec.r,
-                                        spec.lag, values)
-                for i, v in enumerate(curve.values):
-                    samples[i].append(v)
-        elif spec.swept_parameter == "N":
-            samples = []
-            for n in values:
-                col = []
-                for k in range(spec.realizations):
-                    chans = realize_bundle(bundle, int(n), spec.base_seed, k)
-                    col.append(_estimate_curve(spec.estimator, chans, spec.m,
-                                               spec.r, spec.lag, [spec.tau]).values[0])
-                samples.append(col)
-        else:  # m or r: data fixed across sweep values, generate once
-            chans_by_k = [realize_bundle(bundle, spec.n_samples, spec.base_seed, k)
-                          for k in range(spec.realizations)]
-            samples = []
-            for v in values:
-                m = int(v) if spec.swept_parameter == "m" else spec.m
-                r = float(v) if spec.swept_parameter == "r" else spec.r
-                samples.append([_estimate_curve(spec.estimator, chans, m, r,
-                                                spec.lag, [spec.tau]).values[0]
-                                for chans in chans_by_k])
-        means, stds, counts = _aggregate(samples)
-        mean_rows.append(means)
-        std_rows.append(stds)
-        count_rows.append(counts)
-    return EnsembleResult(
-        estimator=spec.estimator,
-        swept_parameter=spec.swept_parameter,
-        sweep_values=values,
-        model_names=[b.name for b in spec.bundles],
-        mean=mean_rows,
-        std=std_rows,
-        defined_count=count_rows,
-        realizations=spec.realizations,
-        base_seed=spec.base_seed,
-    )
+    rows = [(bundle.name, list(zip(*(_realization(spec, bundle, k)
+                                     for k in range(spec.realizations)))))
+            for bundle in spec.bundles]
+    return _ensemble(rows, spec.sweep_values, spec.realizations)
 
 
 def noise_robustness_study(
@@ -298,38 +290,28 @@ def directionality_study(
 
     Each pair (a, b) of signal kinds yields two model rows, "a|b" and
     "b|a", computed from the same underlying realizations so the only
-    difference between the rows is the input order.
+    difference between the rows is the input order. A pair of one kind,
+    or a pair listed with its reversal, would repeat a row name and is
+    refused.
     """
     pairs = [tuple(p) for p in pairs]
     if any(len(p) != 2 for p in pairs):
         raise InvalidParameterError("each pair must name exactly 2 channels")
     if realizations < 1:
         raise InvalidParameterError("realizations must be >= 1")
+    names = [("%s|%s" % (a, b), "%s|%s" % (b, a)) for a, b in pairs]
+    _check_unique([name for pair in names for name in pair])
     scales = list(scales) if scales is not None else list(range(1, 21))
 
-    names, mean_rows, std_rows, count_rows = [], [], [], []
-    for a, b in pairs:
-        fwd = [[] for _ in scales]
-        rev = [[] for _ in scales]
-        for k in range(realizations):
-            chans = realize_bundle(ModelBundle("%s|%s" % (a, b), [a, b]), n_samples,
-                                   base_seed, k)
-            for samples, rows in ((fwd, chans), (rev, chans[::-1])):
-                curve = _estimate_curve("vemse", rows, m, r, lag, scales)
-                for i, v in enumerate(curve.values):
-                    samples[i].append(v)
-        for name, samples in (("%s|%s" % (a, b), fwd), ("%s|%s" % (b, a), rev)):
-            means, stds, counts = _aggregate(samples)
-            names.append(name)
-            mean_rows.append(means)
-            std_rows.append(stds)
-            count_rows.append(counts)
-    return EnsembleResult(
-        estimator="vemse", swept_parameter="scale", sweep_values=scales,
-        model_names=names, mean=mean_rows, std=std_rows,
-        defined_count=count_rows, realizations=realizations,
-        base_seed=base_seed,
-    )
+    rows = []
+    for (a, b), (fwd_name, rev_name) in zip(pairs, names):
+        draws = [realize_bundle(ModelBundle(fwd_name, [a, b]), n_samples, base_seed, k)
+                 for k in range(realizations)]
+        fwd = [_estimate_curve("vemse", chans, m, r, lag, scales).values for chans in draws]
+        rev = [_estimate_curve("vemse", chans[::-1], m, r, lag, scales).values
+               for chans in draws]
+        rows += [(fwd_name, list(zip(*fwd))), (rev_name, list(zip(*rev)))]
+    return _ensemble(rows, scales, realizations)
 
 
 @dataclass

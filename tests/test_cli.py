@@ -313,6 +313,15 @@ class TestSweepAndBench:
         assert rf.metadata["kind"] == "ensemble"
         assert len(rf.rows) == 2 * 3  # models x values
 
+    @pytest.mark.parametrize("models", ["wgn,wgn", "wgn,ar1, wgn"])
+    def test_repeated_model_exits_2(self, tmp_path, capsys, models):
+        out = tmp_path / "sweep.csv"
+        code, _, stderr = run(capsys, "sweep", "--vary", "r", "--values", "0.3",
+                              "--models", models, "--n", "100", "--output", str(out))
+        assert code == 2
+        assert "'wgn' is repeated" in stderr
+        assert not out.exists()
+
     def test_bench_writes_timing(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code, _, _ = run(capsys, "bench", "--vary", "channels", "--values", "2,3",

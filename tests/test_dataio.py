@@ -75,12 +75,12 @@ class TestEnsembleWriter:
 
     def write(self, tmp_path, metadata=None):
         res = EnsembleResult(
-            estimator="vemse", swept_parameter="m", sweep_values=[1, 2, 3],
+            sweep_values=[1, 2, 3],
             model_names=["wgn", "ar3"],
             mean=[[1.0, 0.9, None], [0.5, 0.4, 0.3]],
             std=[[0.1, 0.2, None], [0.0, 0.01, 0.02]],
             defined_count=[[20.0, 20.0, 0.0], [20, 20, 20]],
-            realizations=20, base_seed=5,
+            realizations=20,
         )
         path = tmp_path / "e.csv"
         write_result(ensemble_to_resultfile(res, metadata), path)

@@ -17,6 +17,7 @@ from vemse import (
     timing_benchmark,
     vemse,
 )
+from vemse import experiments
 from vemse.experiments import _estimate_curve, generate_channel, realize_bundle
 
 
@@ -63,20 +64,28 @@ class TestRunSweep:
         small_spec(swept_parameter=vary, sweep_values=[1.0, 2.0])
         small_spec(swept_parameter="r", sweep_values=[0.1, 2.5])
 
-    def test_mean_matches_manual_realizations(self):
-        spec = small_spec(swept_parameter="m", sweep_values=[1, 2], tau=1,
-                          realizations=2)
+    @pytest.mark.parametrize("vary,values", [
+        ("m", [1, 2]), ("r", [0.2, 0.5]), ("N", [40, 150, 300]), ("scale", [1, 2, 40]),
+    ], ids=["m", "r", "N", "scale"])
+    def test_mean_matches_manual_realizations(self, vary, values):
+        spec = small_spec(swept_parameter=vary, sweep_values=values, tau=2)
         res = run_sweep(spec)
         for mi, bundle in enumerate(spec.bundles):
-            for vi, m in enumerate(spec.sweep_values):
+            for vi, v in enumerate(values):
+                n = v if vary == "N" else spec.n_samples
+                m = v if vary == "m" else spec.m
+                r = v if vary == "r" else spec.r
+                scale = v if vary == "scale" else spec.tau
                 vals = []
                 for k in range(spec.realizations):
-                    chans = realize_bundle(bundle, spec.n_samples, spec.base_seed, k)
-                    curve = _estimate_curve("vemse", chans, m, spec.r, 1, [1],
-                                            ToleranceRule.trace(spec.r))
+                    chans = realize_bundle(bundle, n, spec.base_seed, k)
+                    curve = _estimate_curve("vemse", chans, m, r, 1, [scale],
+                                            ToleranceRule.trace(r))
                     vals.append(curve.values[0])
-                defined = [v for v in vals if v is not None]
-                assert res.mean[mi][vi] == pytest.approx(float(np.mean(defined)))
+                defined = [x for x in vals if x is not None]
+                assert res.defined_count[mi][vi] == len(defined)
+                assert res.mean[mi][vi] == (float(np.mean(defined)) if defined else None)
+                assert res.std[mi][vi] == (float(np.std(defined)) if defined else None)
 
     def test_n_sweep(self):
         res = run_sweep(small_spec(swept_parameter="N", sweep_values=[100, 200]))
@@ -140,8 +149,10 @@ class TestNoiseRobustness:
 
 class TestDirectionality:
     def test_identical_pair_invariant(self):
-        res = directionality_study([("wgn", "wgn")], n_samples=300,
-                                   scales=[1, 2], realizations=2, base_seed=5)
+        # a same-kind pair would name both rows "wgn|wgn"
+        with pytest.raises(InvalidParameterError, match="'wgn\\|wgn' is repeated"):
+            directionality_study([("wgn", "wgn")], n_samples=300,
+                                 scales=[1, 2], realizations=2, base_seed=5)
         # same kind but different channel seeds: rows differ in general,
         # so check the exact-symmetry case directly
         x = np.random.default_rng(0).standard_normal(300)
@@ -149,7 +160,12 @@ class TestDirectionality:
         fwd = vemse(MultichannelSeries(np.stack([x, x])), params)
         rev = vemse(MultichannelSeries(np.stack([x, x])[::-1].copy()), params)
         assert fwd.values == rev.values
-        assert res.model_names == ["wgn|wgn", "wgn|wgn"]
+
+    def test_pair_listed_with_its_reversal_rejected(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_estimate_curve", None)  # no estimate is made
+        with pytest.raises(InvalidParameterError, match="'ar1\\|wgn' is repeated"):
+            directionality_study([("wgn", "ar1"), ("ar1", "wgn")], n_samples=100,
+                                 realizations=1)
 
     def test_reversal_reuses_realizations(self):
         res = directionality_study([("wgn", "ar1")], n_samples=400,

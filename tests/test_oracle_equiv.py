@@ -125,7 +125,7 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
 
     with mock.patch.object(estimators, "_BLOCK_CELLS", block):
         lo, hi = _pair_counts(chans, lag, radius, dims, caps)
-        _, probs = _curve_point(chans, m, lag, radius, equal)
+        probs = _curve_point(chans, m, lag, radius, equal)
     want = [0.0, 0.0]
     for c, d in enumerate(dims):
         y = chans[c].tolist()
