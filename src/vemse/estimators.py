@@ -11,7 +11,11 @@ m+1; no template matrix or per-template count is built. sampen, mse and
 vemse count with one diagonal run-length sweep per scale (_pair_counts):
 a pair matches at dimension d when its run of close samples along the
 diagonal is long enough, so one sweep gives the counts at m and m+1 for
-every channel, at a cost independent of the radius. mmse still counts
+every channel. The sweep takes a list of radii: it computes each block's
+|difference| once, then runs a compare chain per radius on it, so an
+r-sweep counts all its radii in one pass per scale (_vemse_curves; vemse
+and mse are its one-rule case, and sampen counts one radius through the
+same _curve_points). mmse still counts
 composite delay vectors with a k-d tree: on the sweep its channels would
 share one match mask and overtake vemse at four channels, against the
 acceptance timing criterion (vemse no slower than mmse).
@@ -82,15 +86,17 @@ def resolve_tolerance(data, rule: ToleranceRule) -> float:
 _BLOCK_CELLS = 1 << 15
 
 
-def _pair_counts(chans: np.ndarray, lag: int, radius: float, dims, caps=None):
-    """Matching template pairs of every channel at dims[c] and dims[c] + 1.
+def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
+    """Matching template pairs of every channel at dims[c] and dims[c] + 1, per radius.
 
-    chans is (P, n) with finite samples; dims must be nondecreasing.
+    chans is (P, n) with finite samples; dims must be nondecreasing; radii
+    is any sequence of radii (unsorted and repeated ones are fine).
     Template pair (i, j = i + s) matches at dimension d exactly when
     |y[i+kL] - y[j+kL]| <= radius for k = 0..d-1, so one sweep over the
     diagonals s counts every dimension at once: the match mask at d+1 is
     the mask at d ANDed with the closeness of the d-th template element.
-    The cost does not depend on the radius.
+    Each block of diagonals takes its |difference| once, shared by every
+    radius, and then runs the compare / AND / count chain once per radius.
 
     The channels are NaN-padded on the right, so a pair reaching past the
     end of its channel compares False and drops out with no bound checks.
@@ -98,11 +104,12 @@ def _pair_counts(chans: np.ndarray, lag: int, radius: float, dims, caps=None):
     count at dims[c] (the equal-template-count convention).
 
     Returns (lo, hi): unordered pair counts at dims[c] and dims[c] + 1,
-    int arrays of shape (P,). Self-pairs (s = 0) are never counted.
+    int arrays of shape (len(radii), P), row k at radii[k]. Self-pairs
+    (s = 0) are never counted.
     """
     p, n = chans.shape
-    lo = np.zeros(p, dtype=np.int64)
-    hi = np.zeros(p, dtype=np.int64)
+    lo = np.zeros((len(radii), p), dtype=np.int64)
+    hi = np.zeros((len(radii), p), dtype=np.int64)
     caps = [None] * p if caps is None else caps
     pad = np.full((p, 2 * n), np.nan)
     pad[:, :n] = chans
@@ -127,65 +134,71 @@ def _pair_counts(chans: np.ndarray, lag: int, radius: float, dims, caps=None):
         diff = np.subtract(later, chans[:, None, :width],
                            out=diff_buf[:cells].reshape(p, rows, width))
         np.abs(diff, out=diff)
-        close = np.less_equal(diff, radius, out=close_buf[:cells].reshape(p, rows, width))
-        match = close
-        first = 0  # channels before `first` have both their counts
-        for d in range(1, dims[-1] + 2):
-            if d > 1:
-                # match[..., i] at d: match at d-1 and close[..., i + (d-1)L]
-                keep = width - (d - 1) * lag
-                if keep <= 0:
-                    break
-                if d == 2:
-                    match = np.logical_and(close[:, :, :keep], close[:, :, lag:],
-                                           out=match_buf[:p * rows * keep].reshape(p, rows, keep))
-                else:
-                    np.logical_and(match[first:, :, :keep], close[first:, :, (d - 1) * lag:],
-                                   out=match[first:, :, :keep])
-                    match = match[:, :, :keep]
-            for c in range(first, p):
-                if dims[c] == d:
-                    mask = match[c]
-                    cap = caps[c]
-                    if cap is not None and cap < n - (d - 1) * lag:
-                        # pair j = i + s counts only if j < cap, i.e. while the
-                        # channel still has a sample n - cap places after j
-                        mask = mask[:, :max(width - (n - cap), 0)] & np.isfinite(
-                            later[c, :, n - cap:])
-                    lo[c] += np.count_nonzero(mask)
-                elif dims[c] + 1 == d:
-                    hi[c] += np.count_nonzero(match[c])
-            while first < p and dims[first] + 1 <= d:
-                first += 1
+        for k, radius in enumerate(radii):
+            close = np.less_equal(diff, radius, out=close_buf[:cells].reshape(p, rows, width))
+            match = close
+            first = 0  # channels before `first` have both their counts
+            for d in range(1, dims[-1] + 2):
+                if d > 1:
+                    # match[..., i] at d: match at d-1 and close[..., i + (d-1)L]
+                    keep = width - (d - 1) * lag
+                    if keep <= 0:
+                        break
+                    if d == 2:
+                        match = np.logical_and(
+                            close[:, :, :keep], close[:, :, lag:],
+                            out=match_buf[:p * rows * keep].reshape(p, rows, keep))
+                    else:
+                        np.logical_and(match[first:, :, :keep], close[first:, :, (d - 1) * lag:],
+                                       out=match[first:, :, :keep])
+                        match = match[:, :, :keep]
+                for c in range(first, p):
+                    if dims[c] == d:
+                        mask = match[c]
+                        cap = caps[c]
+                        if cap is not None and cap < n - (d - 1) * lag:
+                            # pair j = i + s counts only if j < cap, i.e. while the
+                            # channel still has a sample n - cap places after j
+                            mask = mask[:, :max(width - (n - cap), 0)] & np.isfinite(
+                                later[c, :, n - cap:])
+                        lo[k, c] += np.count_nonzero(mask)
+                    elif dims[c] + 1 == d:
+                        hi[k, c] += np.count_nonzero(match[c])
+                while first < p and dims[first] + 1 <= d:
+                    first += 1
         s0 += rows
     return lo, hi
 
 
-def _curve_point(channels: np.ndarray, m: int, lag: int, radius: float,
-                 equal_template_count: bool):
-    """One veMSE point from already coarse-grained (P, n) channels.
+def _curve_points(channels: np.ndarray, m: int, lag: int, radii,
+                  equal_template_count: bool) -> list:
+    """veMSE points at each radius from already coarse-grained (P, n) channels.
 
     Channel c (0-based) is embedded at dimension m+c for the first pass
     and m+c+1 for the second; the per-channel probabilities are summed
     before the log ratio. Each probability is the exact ratio of ordered
     matching pairs to T*(T-1), which equals the mean of the per-template
-    local probabilities. Returns (phi_m, phi_m1), or None when the second
-    pass has fewer than two templates.
+    local probabilities. Returns one (phi_m, phi_m1) per radius, from one
+    pair-count pass; every point is None when the second pass has fewer
+    than two templates.
     """
     p, n = channels.shape
     dims = list(range(m, m + p))
     t_hi = [n - d * lag for d in dims]
     if t_hi[-1] < 2:
-        return None
+        return [None] * len(radii)
     t_lo = t_hi if equal_template_count else [n - (d - 1) * lag for d in dims]
-    lo, hi = _pair_counts(channels, lag, radius, dims,
+    lo, hi = _pair_counts(channels, lag, radii, dims,
                           caps=t_hi if equal_template_count else None)
-    phi_lo = 0.0
-    phi_hi = 0.0
-    for c in range(p):
-        phi_lo += int(2 * lo[c]) / (t_lo[c] * (t_lo[c] - 1))
-        phi_hi += int(2 * hi[c]) / (t_hi[c] * (t_hi[c] - 1))
-    return phi_lo, phi_hi
+    points = []
+    for lo_k, hi_k in zip(lo, hi):
+        phi_lo = 0.0
+        phi_hi = 0.0
+        for c in range(p):
+            phi_lo += int(2 * lo_k[c]) / (t_lo[c] * (t_lo[c] - 1))
+            phi_hi += int(2 * hi_k[c]) / (t_hi[c] * (t_hi[c] - 1))
+        points.append((phi_lo, phi_hi))
+    return points
 
 
 def _log_ratio(probs):
@@ -200,6 +213,38 @@ def _zscore(chans: np.ndarray) -> np.ndarray:
     sd = chans.std(axis=1, ddof=1, keepdims=True)
     sd = np.where(sd > 0, sd, 1.0)
     return (chans - mean) / sd
+
+
+def _vemse_curves(data: MultichannelSeries, params: EntropyParams, rules, *,
+                  normalize: bool = False, per_scale_tolerance: bool = False,
+                  equal_template_count: bool = False) -> list[EntropyCurve]:
+    """vemse under each tolerance rule in rules, one curve per rule.
+
+    Every rule is counted in the same pair-count pass per scale, and
+    curve k equals vemse under rules[k]. params.r is not read. With per_scale_tolerance the rules must share one mode: a
+    scale whose channels are all constant then leaves every point None.
+    """
+    params.check_feasible(data.n_samples)
+    chans = _zscore(data.channels) if normalize else data.channels
+    radii = None if per_scale_tolerance else [resolve_tolerance(chans, rule) for rule in rules]
+
+    values = [[] for _ in rules]
+    probs = [[] for _ in rules]
+    for tau in params.scales:
+        cg = np.stack([coarse_grain(ch, tau) for ch in chans])
+        try:
+            r_abs = ([resolve_tolerance(cg, rule) for rule in rules]
+                     if per_scale_tolerance else radii)
+        except DegenerateToleranceError:
+            points = [None] * len(rules)  # constant at this scale: undefined
+        else:
+            points = _curve_points(cg, params.m, params.L, r_abs, equal_template_count)
+        for k, pr in enumerate(points):
+            values[k].append(_log_ratio(pr))
+            probs[k].append(pr)
+    return [EntropyCurve(scales=list(params.scales), values=values[k], probs=probs[k],
+                         radius=None if radii is None else radii[k])
+            for k in range(len(rules))]
 
 
 def vemse(
@@ -235,26 +280,11 @@ def vemse(
     """
     if not isinstance(data, MultichannelSeries):
         data = MultichannelSeries(data)
-    params.check_feasible(data.n_samples)
     if rule is None:
         rule = ToleranceRule.trace(params.r)
-    chans = _zscore(data.channels) if normalize else data.channels
-    radius = None if per_scale_tolerance else resolve_tolerance(chans, rule)
-
-    values: list[float | None] = []
-    probs: list[tuple[float, float] | None] = []
-    for tau in params.scales:
-        cg = np.stack([coarse_grain(ch, tau) for ch in chans])
-        try:
-            r_abs = resolve_tolerance(cg, rule) if per_scale_tolerance else radius
-        except DegenerateToleranceError:
-            pr = None  # constant at this scale: the point is undefined
-        else:
-            pr = _curve_point(cg, params.m, params.L, r_abs, equal_template_count)
-        values.append(_log_ratio(pr))
-        probs.append(pr)
-    return EntropyCurve(scales=list(params.scales), values=values, probs=probs,
-                        radius=radius)
+    return _vemse_curves(data, params, [rule], normalize=normalize,
+                         per_scale_tolerance=per_scale_tolerance,
+                         equal_template_count=equal_template_count)[0]
 
 
 def mse(x, params: EntropyParams, rule: ToleranceRule | None = None, **flags) -> EntropyCurve:
@@ -273,7 +303,7 @@ def sampen(x, m: int, r_abs: float, lag: int = 1, *, equal_template_count: bool 
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError("input contains non-finite samples")
-    return _log_ratio(_curve_point(x[None, :], m, lag, r_abs, equal_template_count))
+    return _log_ratio(_curve_points(x[None, :], m, lag, [r_abs], equal_template_count)[0])
 
 
 def _cdv_phi(channels, dims, lags, radius: float):

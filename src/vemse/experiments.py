@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .estimators import mmse, vemse
+from .estimators import _vemse_curves, mmse, vemse
 from .series import EntropyParams, InvalidParameterError, MultichannelSeries, ToleranceRule
 from .signals import (
     AR1,
@@ -134,6 +134,14 @@ class SweepSpec:
         _check_unique([b.name for b in self.bundles])
         if self.realizations < 1:
             raise InvalidParameterError("realizations must be >= 1")
+        # each point's parameters, refused with the estimators' own message
+        # (r must be > 0, m must be >= 1, ...) before anything is drawn
+        vary = self.swept_parameter
+        points = [self.sweep_values] if vary == "scale" else self.sweep_values
+        for v in points:
+            EntropyParams(m=int(v) if vary == "m" else self.m,
+                          r=float(v) if vary == "r" else self.r, L=self.lag,
+                          scales=v if vary == "scale" else [self.tau])
 
 
 @dataclass
@@ -176,33 +184,46 @@ def _ensemble(rows, values, realizations) -> EnsembleResult:
                           realizations=realizations)
 
 
-def _estimate_curve(estimator, channels, m, r, lag, scales, rule=None, **flags):
+def _estimate_curves(estimator, channels, m, rs, lag, scales, rules=None, **flags):
     """The one map from an estimator name to its call, on (P, N) channels.
 
-    sampen and mse use the first channel only. mmse embeds every channel
-    at dimension m and lag `lag`, and refuses the flags only vemse reads
-    (per_scale_tolerance, equal_template_count). rule defaults to the
-    covariance trace times r.
+    Returns one curve per tolerance quotient in rs, under rules[k] when
+    rules are given and the covariance trace times rs[k] otherwise.
+    sampen, mse and vemse count every rule in one pair-count pass per
+    scale; mmse makes one call per rule. sampen and mse use the first
+    channel only. mmse embeds every channel at dimension m and lag `lag`,
+    and refuses the flags only vemse reads (per_scale_tolerance,
+    equal_template_count).
     """
-    params = EntropyParams(m=m, r=r, L=lag, scales=list(scales))
-    rule = rule or ToleranceRule.trace(r)
+    params = EntropyParams(m=m, r=rs[0], L=lag, scales=list(scales))
+    rules = rules or [ToleranceRule.trace(r) for r in rs]
     if estimator == "mmse":
         for key in ("per_scale_tolerance", "equal_template_count"):
             if flags.get(key):
                 raise InvalidParameterError("mmse does not take %s (--%s)"
                                             % (key, key.replace("_", "-")))
         p = channels.shape[0]
-        return mmse(MultichannelSeries(channels), [m] * p, rule, lags=[lag] * p,
-                    scales=params.scales)
-    data = channels if estimator == "vemse" else channels[:1]
-    return vemse(MultichannelSeries(data), params, rule, **flags)
+        return [mmse(MultichannelSeries(channels), [m] * p, rule, lags=[lag] * p,
+                     scales=params.scales) for rule in rules]
+    data = MultichannelSeries(channels if estimator == "vemse" else channels[:1])
+    if len(rules) == 1:
+        # the public entry point, so what wraps vemse sees every one-rule call
+        return [vemse(data, params, rules[0], **flags)]
+    return _vemse_curves(data, params, rules, **flags)
+
+
+def _estimate_curve(estimator, channels, m, r, lag, scales, rule=None, **flags):
+    """The curve of _estimate_curves at the one quotient r, under rule when given."""
+    return _estimate_curves(estimator, channels, m, [r], lag, scales,
+                            None if rule is None else [rule], **flags)[0]
 
 
 def _realization(spec: SweepSpec, bundle: ModelBundle, k: int) -> list:
     """Realization k of a bundle, estimated at every sweep value.
 
     The data is drawn once, or once per length when N varies. A scale
-    sweep is one curve; the other sweeps are one point each, at scale tau.
+    sweep is one curve; the other sweeps are one point each, at scale tau,
+    and an r sweep counts all its radii in one call.
     """
     vary = spec.swept_parameter
     if vary != "N":
@@ -210,13 +231,16 @@ def _realization(spec: SweepSpec, bundle: ModelBundle, k: int) -> list:
     if vary == "scale":
         return _estimate_curve(spec.estimator, chans, spec.m, spec.r, spec.lag,
                                spec.sweep_values).values
+    if vary == "r":
+        curves = _estimate_curves(spec.estimator, chans, spec.m,
+                                  [float(v) for v in spec.sweep_values], spec.lag, [spec.tau])
+        return [curve.values[0] for curve in curves]
     points = []
     for v in spec.sweep_values:
         if vary == "N":
             chans = realize_bundle(bundle, int(v), spec.base_seed, k)
         m = int(v) if vary == "m" else spec.m
-        r = float(v) if vary == "r" else spec.r
-        points.append(_estimate_curve(spec.estimator, chans, m, r, spec.lag,
+        points.append(_estimate_curve(spec.estimator, chans, m, spec.r, spec.lag,
                                       [spec.tau]).values[0])
     return points
 

@@ -322,6 +322,19 @@ class TestSweepAndBench:
         assert "'wgn' is repeated" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("vary,values,message", [
+        ("r", "0,0.1", "r must be > 0, got 0.0"),
+        ("m", "0,1", "m must be >= 1, got 0"),
+    ], ids=["r", "m"])
+    def test_bad_swept_value_exits_2_with_its_message(self, tmp_path, capsys, vary, values,
+                                                      message):
+        out = tmp_path / "sweep.csv"
+        code, _, stderr = run(capsys, "sweep", "--vary", vary, "--values", values,
+                              "--models", "wgn", "--n", "100", "--output", str(out))
+        assert code == 2
+        assert stderr == "error: %s\n" % (message,)
+        assert not out.exists()
+
     def test_bench_writes_timing(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code, _, _ = run(capsys, "bench", "--vary", "channels", "--values", "2,3",

@@ -63,33 +63,33 @@ class TestPairCounts:
     """Exact unordered pair counts (lo at dim d, hi at d + 1) from the kernel."""
 
     def test_constant_signal_all_match(self):
-        lo, hi = _pair_counts(np.full((1, 10), 5.0), 1, 0.5, [2])
-        assert (lo[0], hi[0]) == (9 * 8 // 2, 8 * 7 // 2)
+        lo, hi = _pair_counts(np.full((1, 10), 5.0), 1, [0.5], [2])
+        assert (lo[0][0], hi[0][0]) == (9 * 8 // 2, 8 * 7 // 2)
 
     def test_no_pair_within_radius(self):
-        lo, hi = _pair_counts(np.array([[0.0, 10.0, 20.0, 30.0]]), 1, 1.0, [1])
-        assert (lo[0], hi[0]) == (0, 0)
+        lo, hi = _pair_counts(np.array([[0.0, 10.0, 20.0, 30.0]]), 1, [1.0], [1])
+        assert (lo[0][0], hi[0][0]) == (0, 0)
 
     def test_self_match_excluded(self):
         # every distance is 0 or exactly the radius: with self-pairs left
         # out and an inclusive boundary, all T(T-1)/2 pairs match
         x = np.tile([0.0, 1.0], 25)[None, :]
-        lo, hi = _pair_counts(x, 1, 1.0, [2])
-        assert (lo[0], hi[0]) == (49 * 48 // 2, 48 * 47 // 2)
+        lo, hi = _pair_counts(x, 1, [1.0], [2])
+        assert (lo[0][0], hi[0][0]) == (49 * 48 // 2, 48 * 47 // 2)
 
     def test_wgn_against_double_loop_oracle(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(200)
-        lo, hi = _pair_counts(x[None, :], 1, 0.2, [2])
-        for count, dim in ((lo[0], 2), (hi[0], 3)):
+        lo, hi = _pair_counts(x[None, :], 1, [0.2], [2])
+        for count, dim in ((lo[0][0], 2), (hi[0][0], 3)):
             assert 2 * count == sum(naive_counts(naive_templates(list(x), dim, 1), 0.2))
 
     def test_radius_monotonicity(self):
         rng = np.random.default_rng(3)
         chans = rng.standard_normal((2, 150))
-        prev = _pair_counts(chans, 1, 0.05, [2, 3])
+        prev = [rows[0] for rows in _pair_counts(chans, 1, [0.05], [2, 3])]
         for radius in (0.1, 0.2, 0.5, 1.0):
-            cur = _pair_counts(chans, 1, radius, [2, 3])
+            cur = [rows[0] for rows in _pair_counts(chans, 1, [radius], [2, 3])]
             assert np.all(cur[0] >= prev[0]) and np.all(cur[1] >= prev[1])
             prev = cur
 

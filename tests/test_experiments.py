@@ -17,8 +17,21 @@ from vemse import (
     timing_benchmark,
     vemse,
 )
-from vemse import experiments
+from vemse import estimators, experiments
 from vemse.experiments import _estimate_curve, generate_channel, realize_bundle
+
+
+def _spy(monkeypatch, module, name):
+    """Record the (args, kwargs) of every call to module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def small_spec(**overrides):
@@ -86,6 +99,34 @@ class TestRunSweep:
                 assert res.defined_count[mi][vi] == len(defined)
                 assert res.mean[mi][vi] == (float(np.mean(defined)) if defined else None)
                 assert res.std[mi][vi] == (float(np.std(defined)) if defined else None)
+
+    @pytest.mark.parametrize("vary,values,message", [
+        ("r", [0.0, 0.1], "r must be > 0, got 0.0"),
+        ("m", [0, 1], "m must be >= 1, got 0"),
+    ], ids=["r", "m"])
+    def test_bad_swept_value_refused_before_any_count(self, monkeypatch, vary, values, message):
+        # the spec refuses it, so nothing is drawn or counted
+        draws = _spy(monkeypatch, experiments, "realize_bundle")
+        counts = _spy(monkeypatch, estimators, "_pair_counts")
+        with pytest.raises(InvalidParameterError) as err:
+            run_sweep(small_spec(swept_parameter=vary, sweep_values=values))
+        assert str(err.value) == message
+        assert draws == [] and counts == []
+
+    @pytest.mark.parametrize("estimator", ["vemse", "mse", "sampen"])
+    def test_r_sweep_counts_each_realization_once(self, monkeypatch, estimator):
+        # 15 radii x 2 models x 3 realizations: one pair count per draw
+        calls = _spy(monkeypatch, estimators, "_pair_counts")
+        radii = [round(0.1 * i, 1) for i in range(1, 16)]
+        run_sweep(small_spec(estimator=estimator, swept_parameter="r", sweep_values=radii))
+        assert len(calls) == 2 * 3
+        assert all(len(args[2]) == 15 for args, _ in calls)
+
+    def test_mmse_r_sweep_calls_mmse_per_radius(self, monkeypatch):
+        calls = _spy(monkeypatch, experiments, "mmse")
+        run_sweep(small_spec(estimator="mmse", swept_parameter="r",
+                             sweep_values=[round(0.1 * i, 1) for i in range(1, 16)]))
+        assert len(calls) == 15 * 2 * 3
 
     def test_n_sweep(self):
         res = run_sweep(small_spec(swept_parameter="N", sweep_values=[100, 200]))

@@ -17,7 +17,7 @@ from vemse import (
     vemse,
 )
 from vemse import estimators
-from vemse.estimators import _curve_point, _pair_counts
+from vemse.estimators import _curve_points, _pair_counts
 from oracles import (
     naive_coarse_grain,
     naive_counts,
@@ -106,7 +106,7 @@ def test_undefinedness_monotone_in_dimension():
 
 
 @settings(max_examples=150, deadline=None)
-@given(grid=st.booleans(), p=st.integers(1, 3), m=st.integers(1, 3), lag=st.integers(1, 3),
+@given(grid=st.booleans(), p=st.integers(1, 4), m=st.integers(1, 3), lag=st.integers(1, 3),
        extra=st.integers(-1, 30), equal=st.booleans(), block=st.sampled_from([1, 7, 64, 1 << 15]),
        data=st.data())
 def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, block, data):
@@ -114,33 +114,43 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
     # values (differences one rounding step off the grid radius) or
     # integers with an integer radius. extra = 0 leaves the last channel
     # exactly two templates in its second pass; extra = -1 leaves one.
-    # Small blocks split the diagonals over many sweep steps.
+    # Small blocks split the diagonals over many sweep steps. The radii
+    # come in any order, repeats included; row k of the counts must equal
+    # a call at radii[k] alone and the naive double loop.
     dims = [m + c for c in range(p)]
     n = dims[-1] * lag + 2 + extra
     levels = st.integers(-4, 4) if grid else st.integers(-3, 3)
     ints = data.draw(st.lists(st.lists(levels, min_size=n, max_size=n), min_size=p, max_size=p))
     chans = np.array(ints) * 0.1 if grid else np.array(ints, dtype=float)
-    radius = data.draw(st.sampled_from([0.1, 0.2, 0.3] if grid else [1.0, 2.0]))
+    radii = data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3] if grid else [1.0, 2.0]),
+                               min_size=1, max_size=4))
     caps = [n - d * lag for d in dims] if equal else [None] * p
 
     with mock.patch.object(estimators, "_BLOCK_CELLS", block):
-        lo, hi = _pair_counts(chans, lag, radius, dims, caps)
-        probs = _curve_point(chans, m, lag, radius, equal)
-    want = [0.0, 0.0]
-    for c, d in enumerate(dims):
-        y = chans[c].tolist()
-        for k, (count, dim, cap) in enumerate(((lo[c], d, caps[c]), (hi[c], d + 1, None))):
-            templates = naive_templates(y, dim, lag)[:cap]
-            t = len(templates)
-            matches = sum(naive_counts(templates, radius))
-            assert 2 * count == matches
-            if t >= 2:
-                phi = float(Fraction(matches, t * (t - 1)))
-                assert phi == pytest.approx(naive_phi(y, dim, lag, radius, cap), abs=1e-12)
-                want[k] += phi
+        lo, hi = _pair_counts(chans, lag, radii, dims, caps)
+        points = _curve_points(chans, m, lag, radii, equal)
+        singles = [_pair_counts(chans, lag, [radius], dims, caps) for radius in radii]
+    assert lo.shape == hi.shape == (len(radii), p)
+    assert len(points) == len(radii)
+    for k, radius in enumerate(radii):
+        assert np.array_equal(lo[k], singles[k][0][0])
+        assert np.array_equal(hi[k], singles[k][1][0])
+        want = [0.0, 0.0]
+        for c, d in enumerate(dims):
+            y = chans[c].tolist()
+            for j, (count, dim, cap) in enumerate(((lo[k][c], d, caps[c]),
+                                                   (hi[k][c], d + 1, None))):
+                templates = naive_templates(y, dim, lag)[:cap]
+                t = len(templates)
+                matches = sum(naive_counts(templates, radius))
+                assert 2 * count == matches
+                if t >= 2:
+                    phi = float(Fraction(matches, t * (t - 1)))
+                    assert phi == pytest.approx(naive_phi(y, dim, lag, radius, cap), abs=1e-12)
+                    want[j] += phi
 
-    if extra < 0:
-        assert probs is None
-        assert naive_phi(chans[-1].tolist(), dims[-1] + 1, lag, radius) is None
-    else:
-        assert probs == tuple(want)
+        if extra < 0:
+            assert points[k] is None
+            assert naive_phi(chans[-1].tolist(), dims[-1] + 1, lag, radius) is None
+        else:
+            assert points[k] == tuple(want)

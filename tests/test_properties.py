@@ -34,8 +34,9 @@ def test_shuffle_preserves_multiset(xs, seed):
 @given(st.integers(0, 10_000), st.floats(0.05, 0.5), st.floats(0.5, 3.0))
 def test_counts_monotone_in_radius(seed, r_small, factor):
     chans = np.random.default_rng(seed).standard_normal((2, 40))
-    small = _pair_counts(chans, 1, r_small, [2, 3])
-    large = _pair_counts(chans, 1, r_small * max(factor, 1.0), [2, 3])
+    small = [rows[0] for rows in _pair_counts(chans, 1, [r_small], [2, 3])]
+    large = [rows[0] for rows in
+             _pair_counts(chans, 1, [r_small * max(factor, 1.0)], [2, 3])]
     assert np.all(large[0] >= small[0]) and np.all(large[1] >= small[1])
 
 
@@ -43,6 +44,6 @@ def test_counts_monotone_in_radius(seed, r_small, factor):
 @given(st.integers(0, 10_000), st.floats(-50.0, 50.0))
 def test_match_counts_translation_invariant(seed, shift):
     chans = np.random.default_rng(seed).standard_normal((2, 40))
-    t0 = _pair_counts(chans, 1, 0.3, [2, 3])
-    t1 = _pair_counts(chans + shift, 1, 0.3, [2, 3])
+    t0 = [rows[0] for rows in _pair_counts(chans, 1, [0.3], [2, 3])]
+    t1 = [rows[0] for rows in _pair_counts(chans + shift, 1, [0.3], [2, 3])]
     assert all(np.array_equal(a, b) for a, b in zip(t0, t1))
