@@ -8,17 +8,28 @@ they equal the naive double loop's.
 
 Estimates need only integer counts of matching template pairs at m and
 m+1; no template matrix or per-template count is built. sampen, mse and
-vemse count with one diagonal run-length sweep per scale (_pair_counts):
-a pair matches at dimension d when its run of close samples along the
-diagonal is long enough, so one sweep gives the counts at m and m+1 for
-every channel. The sweep takes a list of radii: it computes each block's
-|difference| once, then runs a compare chain per radius on it, so an
-r-sweep counts all its radii in one pass per scale (_vemse_curves; vemse
-and mse are its one-rule case, and sampen counts one radius through the
-same _curve_points). mmse still counts
-composite delay vectors with a k-d tree: on the sweep its channels would
-share one match mask and overtake vemse at four channels, against the
-acceptance timing criterion (vemse no slower than mmse).
+vemse count through one entry point, _pair_counts, which takes a list of
+radii and gives the counts at m and m+1 for every channel. It has two
+exact counters and picks one per channel:
+
+- the diagonal sweep (_sweep_counts) visits every template pair, n^2/2
+  per channel whatever the radius: a pair matches at dimension d when its
+  run of close samples along the diagonal is long enough, so one sweep
+  counts every dimension, and the channels that take it share one sweep;
+- the band counter (_band_counts) sorts one channel's templates by their
+  first element and visits only the pairs whose first elements lie
+  within the largest radius, checking each template element there.
+
+A channel goes to the band counter when its band, sized from its sorted
+samples before any counting, is narrow enough to beat the sweep
+(_band_is_cheaper): sample entropy's usual radii on long records. Both
+take each block's |difference| once and run a compare chain per radius
+on it, so an r-sweep counts all its radii in one pass per scale
+(_vemse_curves; vemse and mse are its one-rule case, and sampen counts
+one radius through the same _curve_points). mmse still counts composite
+delay vectors with a k-d tree: on the sweep its channels would share one
+match mask and overtake vemse at four channels, against the acceptance
+timing criterion (vemse no slower than mmse).
 
 Undefined estimates (no matches at dimension m or m+1, or too few
 templates at a scale) are returned as None, never raised and never NaN.
@@ -80,17 +91,15 @@ def resolve_tolerance(data, rule: ToleranceRule) -> float:
     return rule.value * trace
 
 
-# Diagonal cells per channel in one block of the pair-count sweep; bounds
-# its scratch memory (about 10 bytes per cell) while keeping the Python
-# loop short.
+# Diagonal cells per channel (per template element in the band counter)
+# in one block of a pair counter; bounds its scratch memory (about 10
+# bytes per cell) while keeping the Python loop short.
 _BLOCK_CELLS = 1 << 15
 
 
-def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
-    """Matching template pairs of every channel at dims[c] and dims[c] + 1, per radius.
+def _sweep_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
+    """_pair_counts by a sweep over every diagonal of every channel.
 
-    chans is (P, n) with finite samples; dims must be nondecreasing; radii
-    is any sequence of radii (unsorted and repeated ones are fine).
     Template pair (i, j = i + s) matches at dimension d exactly when
     |y[i+kL] - y[j+kL]| <= radius for k = 0..d-1, so one sweep over the
     diagonals s counts every dimension at once: the match mask at d+1 is
@@ -100,12 +109,6 @@ def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
 
     The channels are NaN-padded on the right, so a pair reaching past the
     end of its channel compares False and drops out with no bound checks.
-    caps[c], when given, keeps only the first caps[c] templates in the
-    count at dims[c] (the equal-template-count convention).
-
-    Returns (lo, hi): unordered pair counts at dims[c] and dims[c] + 1,
-    int arrays of shape (len(radii), P), row k at radii[k]. Self-pairs
-    (s = 0) are never counted.
     """
     p, n = chans.shape
     lo = np.zeros((len(radii), p), dtype=np.int64)
@@ -167,6 +170,132 @@ def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
                 while first < p and dims[first] + 1 <= d:
                     first += 1
         s0 += rows
+    return lo, hi
+
+
+def _templates(n: int, d: int, lag: int, cap=None) -> int:
+    """Templates of a length-n channel counted at dimension d, under an optional cap."""
+    t = n - (d - 1) * lag
+    return t if cap is None else min(t, cap)
+
+
+def _band_reach(s: np.ndarray, radius: float) -> np.ndarray:
+    """reach[q]: how far past place q of sorted s a value within radius can lie.
+
+    Value s[q + k] can be within radius of s[q] only if k <= reach[q]. The
+    search is widened by a few ulps of the data's magnitude, so rounding
+    never leaves out a pair whose computed |difference| is at most radius;
+    the extra pairs it lets in are still decided by that compare.
+    reach.sum() is the size of the band at radius.
+    """
+    slack = 4 * np.finfo(float).eps * (radius + max(-s[0], s[-1]))
+    return np.searchsorted(s, s + (radius + slack), side="right") - np.arange(1, s.size + 1)
+
+
+def _band_counts(y: np.ndarray, lag: int, radii, d: int, cap=None):
+    """_pair_counts for one channel, walking the band of its sorted templates.
+
+    The templates counted at d are stably sorted by their first element;
+    element e of the template at sorted place q is S[e, q]. S is NaN past
+    the last template and past the end of y, so a pair reaching past
+    either compares False and drops out of the count at d + 1 as in the
+    sweep. Every unordered pair is one cell (q, q + k), k >= 1, and one
+    within the largest radius has k <= reach[q] (_band_reach), so only
+    diagonals k = 1..max(reach) are walked, each trimmed to the rows from
+    the first to the last whose reach gets to k. A candidate matches when
+    |S[e, q + k] - S[e, q]| <= radius for every element e: the sweep's
+    compare on the same two samples, up to an exact negation, so the
+    counts are exact.
+
+    Returns (lo, hi): int arrays of len(radii), pair counts at d and d + 1.
+    """
+    lo = np.zeros(len(radii), dtype=np.int64)
+    hi = np.zeros(len(radii), dtype=np.int64)
+    t = _templates(y.size, d, lag, cap)
+    if t < 2:
+        return lo, hi
+    order = np.argsort(y[:t], kind="stable")
+    S = np.full((d + 1, 2 * t), np.nan)
+    S[:, :t] = np.concatenate([y, np.full(lag, np.nan)])[order + lag * np.arange(d + 1)[:, None]]
+    reach = _band_reach(S[0, :t], max(radii))
+    k_max = int(reach.max())
+    # rows reaching k run from the first whose prefix max of reach gets to
+    # k to the last whose suffix max does
+    head = np.maximum.accumulate(reach)
+    back = np.maximum.accumulate(reach[::-1])
+    step = S.strides[1]
+    size = (d + 1) * max(_BLOCK_CELLS, t)
+    diff_buf = np.empty(size)
+    close_buf = np.empty(size, dtype=bool)
+
+    k0 = 1
+    while k0 <= k_max:
+        first = int(np.searchsorted(head, k0))
+        width = t - int(np.searchsorted(back, k0)) - first
+        rows = min(max(1, _BLOCK_CELLS // width), k_max + 1 - k0)
+        # later[e, a, i] = S[e, first + i + k0 + a]; k_max < t keeps it inside S
+        later = np.lib.stride_tricks.as_strided(
+            S[:, first + k0:], shape=(d + 1, rows, width), strides=(S.strides[0], step, step))
+        cells = (d + 1) * rows * width
+        diff = np.subtract(later, S[:, None, first:first + width],
+                           out=diff_buf[:cells].reshape(d + 1, rows, width))
+        np.abs(diff, out=diff)
+        for k, radius in enumerate(radii):
+            close = np.less_equal(diff, radius, out=close_buf[:cells].reshape(d + 1, rows, width))
+            match = close[0]
+            for e in range(1, d):
+                np.logical_and(match, close[e], out=match)
+            lo[k] += np.count_nonzero(match)
+            hi[k] += np.count_nonzero(np.logical_and(match, close[d], out=match))
+        k0 += rows
+    return lo, hi
+
+
+def _band_is_cheaper(n: int, d: int, band: int) -> bool:
+    """Whether the band counter beats the sweep for one channel.
+
+    The sweep visits about n^2 / 2 cells of a channel whatever the radius,
+    with one |difference| and a short compare / AND chain each; the band
+    counter visits about `band` cells (the band's size at the largest
+    radius) with a |difference| and a compare per template element.
+    Measured on 2 CPUs, band cells cost about d + 2 sweep cells.
+    """
+    return 2 * (d + 2) * band < n * n
+
+
+def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
+    """Matching template pairs of every channel at dims[c] and dims[c] + 1, per radius.
+
+    chans is (P, n) with finite samples; dims must be nondecreasing; radii
+    is any sequence of radii (unsorted and repeated ones are fine).
+    caps[c], when given, keeps only the first caps[c] templates in the
+    count at dims[c]; it is the equal-template-count convention, so it is
+    never below the template count at dims[c] + 1.
+
+    Two exact counters give the same counts. A channel whose band at the
+    largest radius is narrow (_band_is_cheaper, from its sorted samples:
+    O(n log n) before any counting) goes to the band counter; the other
+    channels share one diagonal sweep.
+
+    Returns (lo, hi): unordered pair counts at dims[c] and dims[c] + 1,
+    int arrays of shape (len(radii), P), row k at radii[k]. Self-pairs
+    are never counted.
+    """
+    p, n = chans.shape
+    caps = [None] * p if caps is None else caps
+    lo = np.zeros((len(radii), p), dtype=np.int64)
+    hi = np.zeros((len(radii), p), dtype=np.int64)
+    swept = []
+    for c in range(p):
+        t = _templates(n, dims[c], lag, caps[c])
+        if t >= 2 and _band_is_cheaper(
+                n, dims[c], int(_band_reach(np.sort(chans[c, :t]), max(radii)).sum())):
+            lo[:, c], hi[:, c] = _band_counts(chans[c], lag, radii, dims[c], caps[c])
+        else:
+            swept.append(c)
+    if swept:
+        lo[:, swept], hi[:, swept] = _sweep_counts(
+            chans[swept], lag, radii, [dims[c] for c in swept], [caps[c] for c in swept])
     return lo, hi
 
 

@@ -192,13 +192,13 @@ def _estimate_curves(estimator, channels, m, rs, lag, scales, rules=None, **flag
     sampen, mse and vemse count every rule in one pair-count pass per
     scale; mmse makes one call per rule. sampen and mse use the first
     channel only. mmse embeds every channel at dimension m and lag `lag`,
-    and refuses the flags only vemse reads (per_scale_tolerance,
-    equal_template_count).
+    and refuses the flags only vemse reads (normalize, which mmse always
+    does, per_scale_tolerance and equal_template_count).
     """
     params = EntropyParams(m=m, r=rs[0], L=lag, scales=list(scales))
     rules = rules or [ToleranceRule.trace(r) for r in rs]
     if estimator == "mmse":
-        for key in ("per_scale_tolerance", "equal_template_count"):
+        for key in ("normalize", "per_scale_tolerance", "equal_template_count"):
             if flags.get(key):
                 raise InvalidParameterError("mmse does not take %s (--%s)"
                                             % (key, key.replace("_", "-")))

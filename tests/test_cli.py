@@ -251,7 +251,8 @@ class TestMmseLag:
         assert None not in rows["1"] + rows["2"]
         assert rows["1"] != rows["2"]
 
-    @pytest.mark.parametrize("flag", ["--per-scale-tolerance", "--equal-template-count"])
+    @pytest.mark.parametrize("flag", ["--normalize", "--per-scale-tolerance",
+                                      "--equal-template-count"])
     def test_vemse_only_flags_exit_2(self, short_record, tmp_path, capsys, flag):
         out = tmp_path / "x.csv"
         code, _, stderr = run(capsys, "compute", "--estimator", "mmse", "--input",

@@ -1,20 +1,25 @@
 """Unit tests for the shared estimator machinery."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from vemse import (
+    AR2,
     DegenerateToleranceError,
     EntropyParams,
     InvalidParameterError,
     MultichannelSeries,
     ToleranceRule,
     coarse_grain,
+    generate_ar,
     resolve_tolerance,
     sampen,
 )
-from vemse.estimators import _pair_counts
+from vemse import estimators
+from vemse.estimators import _band_counts, _pair_counts, _sweep_counts
+from vemse.experiments import ModelBundle, realize_bundle
 from oracles import naive_counts, naive_templates
 
 
@@ -84,6 +89,14 @@ class TestPairCounts:
         for count, dim in ((lo[0][0], 2), (hi[0][0], 3)):
             assert 2 * count == sum(naive_counts(naive_templates(list(x), dim, 1), 0.2))
 
+    def test_band_window_keeps_a_pair_that_rounds_into_the_radius(self):
+        # 0.1 - (-0.3) rounds to exactly 0.4, but -0.3 + 0.4 rounds below
+        # 0.1: a window searched without slack would drop the pair
+        x = np.array([-3.0, 1.0]) * 0.1
+        assert x[1] - x[0] <= 0.4 and x[0] + 0.4 < x[1]
+        lo, hi = _band_counts(x, 1, [0.4], 1)
+        assert (lo[0], hi[0]) == (1, 0)
+
     def test_radius_monotonicity(self):
         rng = np.random.default_rng(3)
         chans = rng.standard_normal((2, 150))
@@ -92,6 +105,54 @@ class TestPairCounts:
             cur = [rows[0] for rows in _pair_counts(chans, 1, [radius], [2, 3])]
             assert np.all(cur[0] >= prev[0]) and np.all(cur[1] >= prev[1])
             prev = cur
+
+
+class TestCounterChoice:
+    """Which exact counter _pair_counts sends each channel to."""
+
+    @staticmethod
+    def split(chans, radii, dims):
+        """The dims sent to the band counter and to the sweep, and the counts."""
+        with mock.patch.object(estimators, "_band_counts", wraps=estimators._band_counts) as band, \
+                mock.patch.object(estimators, "_sweep_counts",
+                                  wraps=estimators._sweep_counts) as sweep:
+            counts = _pair_counts(chans, 1, radii, dims)
+        return ([call.args[3] for call in band.call_args_list],
+                [list(call.args[3]) for call in sweep.call_args_list], counts)
+
+    def test_head_compute_goes_to_the_band(self):
+        # the record_io head compute: sampen on the first 4000 rows of an
+        # AR(2) channel at 0.15 times its variance (r about 0.149)
+        x = generate_ar(AR2, 100_000, seed=(0, 0, 0))[:4000]
+        radius = resolve_tolerance(x[None, :], ToleranceRule.trace(0.15))
+        assert 0.14 < radius < 0.16
+        assert self.split(x[None, :], [radius], [2])[:2] == ([2], [])
+
+    @pytest.mark.parametrize("kind", ["wgn", "ar1"])
+    def test_widest_r_sweep_goes_to_the_sweep(self, kind):
+        # sweep_r: 2 channels of 1000, 15 radii up to 1.5 times the trace
+        chans = realize_bundle(ModelBundle.homogeneous(kind, 2), 1000, 0, 0)
+        radii = [resolve_tolerance(chans, ToleranceRule.trace(q / 10)) for q in range(1, 16)]
+        assert 2.8 < max(radii) < 3.2
+        assert self.split(chans, radii, [2, 3])[:2] == ([], [[2, 3]])
+
+    def test_compute_shape_at_scale_one_goes_to_the_sweep(self):
+        # 4000 x 4 AR(2) at 0.15 times the trace (r about 0.6 sd): a third
+        # of all pairs lie in the band, where the shared sweep is cheaper
+        chans = np.stack([generate_ar(AR2, 4000, seed=(0, 0, c)) for c in range(4)])
+        radius = resolve_tolerance(chans, ToleranceRule.trace(0.15))
+        assert self.split(chans, [radius], [2, 3, 4, 5])[:2] == ([], [[2, 3, 4, 5]])
+
+    def test_mixed_call_equals_the_sweep(self):
+        # a wide channel has a narrow band at this radius, a narrow one a
+        # wide band; the band channel's counts must not move the others
+        rng = np.random.default_rng(8)
+        chans = np.stack([rng.standard_normal(1500) * s for s in (0.2, 10.0, 0.3, 5.0)])
+        radii = [0.5, 0.1, 0.3]
+        banded, swept, (lo, hi) = self.split(chans, radii, [1, 2, 3, 4])
+        assert (banded, swept) == ([2, 4], [[1, 3]])
+        want_lo, want_hi = _sweep_counts(chans, 1, radii, [1, 2, 3, 4])
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
 
 class TestSampen:

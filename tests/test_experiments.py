@@ -158,7 +158,8 @@ class TestEstimateCurve:
                                 ToleranceRule.absolute(0.3), equal_template_count=True)
         assert curve.values[0] == sampen(self.chans[0], 2, 0.3, equal_template_count=True)
 
-    @pytest.mark.parametrize("flag", ["per_scale_tolerance", "equal_template_count"])
+    @pytest.mark.parametrize("flag", ["normalize", "per_scale_tolerance",
+                                      "equal_template_count"])
     def test_mmse_refuses_the_vemse_flags(self, flag):
         with pytest.raises(InvalidParameterError, match=flag):
             _estimate_curve("mmse", self.chans, 2, 0.2, 1, [1], **{flag: True})

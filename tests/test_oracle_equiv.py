@@ -17,7 +17,7 @@ from vemse import (
     vemse,
 )
 from vemse import estimators
-from vemse.estimators import _curve_points, _pair_counts
+from vemse.estimators import _band_counts, _curve_points, _pair_counts, _sweep_counts
 from oracles import (
     naive_coarse_grain,
     naive_counts,
@@ -114,23 +114,28 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
     # values (differences one rounding step off the grid radius) or
     # integers with an integer radius. extra = 0 leaves the last channel
     # exactly two templates in its second pass; extra = -1 leaves one.
-    # Small blocks split the diagonals over many sweep steps. The radii
-    # come in any order, repeats included; row k of the counts must equal
-    # a call at radii[k] alone and the naive double loop.
+    # Small blocks split the diagonals over many steps of both counters.
+    # The radii come in any order, repeats included. The sweep over all
+    # channels, the band counter on each channel and _pair_counts, which
+    # chooses between them, must all give the naive double loop's counts,
+    # and row k must equal a call at radii[k] alone.
     dims = [m + c for c in range(p)]
     n = dims[-1] * lag + 2 + extra
     levels = st.integers(-4, 4) if grid else st.integers(-3, 3)
     ints = data.draw(st.lists(st.lists(levels, min_size=n, max_size=n), min_size=p, max_size=p))
     chans = np.array(ints) * 0.1 if grid else np.array(ints, dtype=float)
-    radii = data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3] if grid else [1.0, 2.0]),
+    radii = data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5] if grid else [1.0, 2.0]),
                                min_size=1, max_size=4))
     caps = [n - d * lag for d in dims] if equal else [None] * p
 
     with mock.patch.object(estimators, "_BLOCK_CELLS", block):
         lo, hi = _pair_counts(chans, lag, radii, dims, caps)
+        swept = _sweep_counts(chans, lag, radii, dims, caps)
+        banded = [_band_counts(chans[c], lag, radii, d, caps[c]) for c, d in enumerate(dims)]
         points = _curve_points(chans, m, lag, radii, equal)
         singles = [_pair_counts(chans, lag, [radius], dims, caps) for radius in radii]
-    assert lo.shape == hi.shape == (len(radii), p)
+    assert lo.shape == hi.shape == swept[0].shape == swept[1].shape == (len(radii), p)
+    assert all(b.shape == (len(radii),) for band in banded for b in band)
     assert len(points) == len(radii)
     for k, radius in enumerate(radii):
         assert np.array_equal(lo[k], singles[k][0][0])
@@ -143,7 +148,7 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
                 templates = naive_templates(y, dim, lag)[:cap]
                 t = len(templates)
                 matches = sum(naive_counts(templates, radius))
-                assert 2 * count == matches
+                assert 2 * count == 2 * swept[j][k][c] == 2 * banded[c][j][k] == matches
                 if t >= 2:
                     phi = float(Fraction(matches, t * (t - 1)))
                     assert phi == pytest.approx(naive_phi(y, dim, lag, radius, cap), abs=1e-12)
