@@ -20,16 +20,21 @@ exact counters and picks one per channel:
   first element and visits only the pairs whose first elements lie
   within the largest radius, checking each template element there.
 
-A channel goes to the band counter when its band, sized from its sorted
-samples before any counting, is narrow enough to beat the sweep
-(_band_is_cheaper): sample entropy's usual radii on long records. Both
-take each block's |difference| once and run a compare chain per radius
-on it, so an r-sweep counts all its radii in one pass per scale
-(_vemse_curves; vemse and mse are its one-rule case, and sampen counts
-one radius through the same _curve_points). mmse still counts composite
-delay vectors with a k-d tree: on the sweep its channels would share one
-match mask and overtake vemse at four channels, against the acceptance
-timing criterion (vemse no slower than mmse).
+A channel goes to the band counter when its band, sized before any
+counting, is narrow enough to beat the sweep (_band_is_cheaper): sample
+entropy's usual radii on long records. A sort-free floor on the band
+(_band_floors) sends most wide channels to the sweep unsorted; the
+others are sorted once, and the sort serves both the exact size and
+the band counter.
+
+Both counters take each block's |difference| once and run a compare
+chain per radius on it, so an r-sweep counts all its radii in one pass
+per scale (_vemse_curves; vemse and mse are its one-rule case, and
+sampen counts one radius through the same _curve_points). mmse still
+counts composite delay vectors with a k-d tree: on the sweep its
+channels would share one match mask and overtake vemse at four
+channels, against the acceptance timing criterion (vemse no slower
+than mmse).
 
 Undefined estimates (no matches at dimension m or m+1, or too few
 templates at a scale) are returned as None, never raised and never NaN.
@@ -192,12 +197,57 @@ def _band_reach(s: np.ndarray, radius: float) -> np.ndarray:
     return np.searchsorted(s, s + (radius + slack), side="right") - np.arange(1, s.size + 1)
 
 
-def _band_counts(y: np.ndarray, lag: int, radii, d: int, cap=None):
+# Bins per radius in _band_floors; a floor falls short of its band by
+# about 1.5 bins' share of it
+_FLOOR_BINS = 8
+
+
+def _band_floors(x: np.ndarray, radius: float) -> np.ndarray:
+    """Lower bounds on the sizes of the bands of x's rows at radius, found with no sort.
+
+    Each row is binned at radius / _FLOOR_BINS; two samples at most
+    _FLOOR_BINS - 2 bins apart are closer than radius, with a bin to spare
+    for rounding, so they are a pair of the band. Counting them takes
+    O(x.size) for all rows at once, where sizing one band exactly
+    (_band_reach) needs a sort and a search. Gives zeros when a row's bins
+    would outnumber its samples.
+    """
+    p, t = x.shape
+    if t < 2:
+        return np.zeros(p, dtype=np.int64)
+    bins = x - x.min(axis=1, keepdims=True)
+    bins *= _FLOOR_BINS / radius
+    top = bins.max()
+    if not top < t:
+        return np.zeros(p, dtype=np.int64)
+    # each row's bins, after near + 1 empty bins and before near more
+    near = _FLOOR_BINS - 2
+    width = int(top) + 1
+    padded = width + 2 * near + 1
+    at = bins.astype(np.intp)
+    at += np.arange(near + 1, p * padded, padded)[:, None]
+    counts = np.bincount(at.ravel(), minlength=p * padded).reshape(p, padded)
+    below = counts.cumsum(axis=1)
+    # samples within `near` bins of each bin, the bin's own included: each
+    # sample meets itself once, and each pair is met from both ends
+    close = counts[:, near + 1:near + 1 + width] * (below[:, 2 * near + 1:] - below[:, :width])
+    return (close.sum(axis=1) - t) // 2
+
+
+def _sorted_band(y: np.ndarray, t: int, radius: float):
+    """(order, reach): y's first t samples in sorted order and their _band_reach."""
+    order = np.argsort(y[:t])
+    return order, _band_reach(y[order], radius)
+
+
+def _band_counts(y: np.ndarray, lag: int, radii, d: int, cap=None, band=None):
     """_pair_counts for one channel, walking the band of its sorted templates.
 
-    The templates counted at d are stably sorted by their first element;
-    element e of the template at sorted place q is S[e, q]. S is NaN past
-    the last template and past the end of y, so a pair reaching past
+    The templates counted at d are sorted by their first element (band,
+    from _sorted_band at max(radii), when the caller has it); element e
+    of the template at sorted place q is S[e, q]. Ties may sit in any
+    order, since every pair of places is visited once either way. S is NaN
+    past the last template and past the end of y, so a pair reaching past
     either compares False and drops out of the count at d + 1 as in the
     sweep. Every unordered pair is one cell (q, q + k), k >= 1, and one
     within the largest radius has k <= reach[q] (_band_reach), so only
@@ -214,10 +264,9 @@ def _band_counts(y: np.ndarray, lag: int, radii, d: int, cap=None):
     t = _templates(y.size, d, lag, cap)
     if t < 2:
         return lo, hi
-    order = np.argsort(y[:t], kind="stable")
+    order, reach = _sorted_band(y, t, max(radii)) if band is None else band
     S = np.full((d + 1, 2 * t), np.nan)
     S[:, :t] = np.concatenate([y, np.full(lag, np.nan)])[order + lag * np.arange(d + 1)[:, None]]
-    reach = _band_reach(S[0, :t], max(radii))
     k_max = int(reach.max())
     # rows reaching k run from the first whose prefix max of reach gets to
     # k to the last whose suffix max does
@@ -273,9 +322,12 @@ def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
     never below the template count at dims[c] + 1.
 
     Two exact counters give the same counts. A channel whose band at the
-    largest radius is narrow (_band_is_cheaper, from its sorted samples:
-    O(n log n) before any counting) goes to the band counter; the other
-    channels share one diagonal sweep.
+    largest radius is narrow (_band_is_cheaper) goes to the band counter;
+    the other channels share one diagonal sweep. A channel whose band's
+    floor (_band_floors, O(n) for all channels at once) is already too
+    wide goes to the sweep with no sort; any other is sorted once
+    (_sorted_band, O(n log n)), the exact band size decides, and the sort
+    goes on to the band counter.
 
     Returns (lo, hi): unordered pair counts at dims[c] and dims[c] + 1,
     int arrays of shape (len(radii), P), row k at radii[k]. Self-pairs
@@ -283,16 +335,21 @@ def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
     """
     p, n = chans.shape
     caps = [None] * p if caps is None else caps
+    radius = max(radii)
     lo = np.zeros((len(radii), p), dtype=np.int64)
     hi = np.zeros((len(radii), p), dtype=np.int64)
+    t = [_templates(n, d, lag, cap) for d, cap in zip(dims, caps)]
+    # pairs among the first min(t) samples are pairs of every channel's band
+    floors = _band_floors(chans[:, :max(min(t), 0)], radius)
     swept = []
     for c in range(p):
-        t = _templates(n, dims[c], lag, caps[c])
-        if t >= 2 and _band_is_cheaper(
-                n, dims[c], int(_band_reach(np.sort(chans[c, :t]), max(radii)).sum())):
-            lo[:, c], hi[:, c] = _band_counts(chans[c], lag, radii, dims[c], caps[c])
-        else:
-            swept.append(c)
+        if t[c] >= 2 and _band_is_cheaper(n, dims[c], int(floors[c])):
+            order, reach = _sorted_band(chans[c], t[c], radius)
+            if _band_is_cheaper(n, dims[c], int(reach.sum())):
+                lo[:, c], hi[:, c] = _band_counts(chans[c], lag, radii, dims[c], caps[c],
+                                                  (order, reach))
+                continue
+        swept.append(c)
     if swept:
         lo[:, swept], hi[:, swept] = _sweep_counts(
             chans[swept], lag, radii, [dims[c] for c in swept], [caps[c] for c in swept])

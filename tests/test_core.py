@@ -18,7 +18,7 @@ from vemse import (
     sampen,
 )
 from vemse import estimators
-from vemse.estimators import _band_counts, _pair_counts, _sweep_counts
+from vemse.estimators import _band_counts, _band_floors, _band_reach, _pair_counts, _sweep_counts
 from vemse.experiments import ModelBundle, realize_bundle
 from oracles import naive_counts, naive_templates
 
@@ -136,12 +136,43 @@ class TestCounterChoice:
         assert 2.8 < max(radii) < 3.2
         assert self.split(chans, radii, [2, 3])[:2] == ([], [[2, 3]])
 
-    def test_compute_shape_at_scale_one_goes_to_the_sweep(self):
+    def test_compute_shape_goes_to_the_sweep_unsorted(self):
         # 4000 x 4 AR(2) at 0.15 times the trace (r about 0.6 sd): a third
-        # of all pairs lie in the band, where the shared sweep is cheaper
+        # of all pairs lie in the band at scale 1, more at coarser scales,
+        # where the shared sweep is cheaper; the band's floor tells so at
+        # every scale, so no channel is sorted
         chans = np.stack([generate_ar(AR2, 4000, seed=(0, 0, c)) for c in range(4)])
         radius = resolve_tolerance(chans, ToleranceRule.trace(0.15))
-        assert self.split(chans, [radius], [2, 3, 4, 5])[:2] == ([], [[2, 3, 4, 5]])
+        with mock.patch.object(estimators, "_sorted_band") as sort:
+            for tau in range(1, 21):
+                cg = np.stack([coarse_grain(ch, tau) for ch in chans])
+                assert self.split(cg, [radius], [2, 3, 4, 5])[:2] == ([], [[2, 3, 4, 5]])
+        sort.assert_not_called()
+
+    @pytest.mark.parametrize("kind", ["normal", "offset", "grid", "integers"])
+    def test_band_floor_is_below_the_band(self, kind):
+        # samples on bin edges (the 0.1 grid, integers) and a large offset,
+        # where rounding moves samples across bins
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(2, 300))
+            x = {"normal": lambda: rng.standard_normal(n),
+                 "offset": lambda: 1e6 + rng.standard_normal(n),
+                 "grid": lambda: rng.integers(-20, 20, n) * 0.1,
+                 "integers": lambda: rng.integers(-20, 20, n).astype(float)}[kind]()
+            for radius in (0.1, 0.25, 0.5, 1.0, 3.0):
+                close = int(np.count_nonzero(np.abs(x[:, None] - x[None, :]) <= radius) - n) // 2
+                band = int(_band_reach(np.sort(x), radius).sum())
+                assert _band_floors(x[None, :], radius)[0] <= close <= band
+
+    def test_band_floor_leaves_out_pairs_past_the_radius(self):
+        # two clusters of 10 just over the radius apart: only the 90 pairs
+        # inside the clusters may count, wherever the bin edges fall
+        rng = np.random.default_rng(6)
+        for radius in (0.1, 0.3, 1.0):
+            for start in rng.uniform(-5, 5, 50):
+                x = np.repeat([start, start + radius * (1 + 1e-9)], 10)
+                assert 0 < _band_floors(x[None, :], radius)[0] <= 90
 
     def test_mixed_call_equals_the_sweep(self):
         # a wide channel has a narrow band at this radius, a narrow one a

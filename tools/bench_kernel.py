@@ -1,6 +1,6 @@
 """Time the pair-count kernel (`vemse.estimators._pair_counts`) alone.
 
-    python tools/bench_kernel.py [--base OTHER_CHECKOUT] [--rounds 3] [--out BENCH_kernel.json]
+    python tools/bench_kernel.py [--base OTHER_CHECKOUT] [--out BENCH_kernel.json]
 
 Cases, all with fixed seeds:
 
@@ -10,12 +10,12 @@ Cases, all with fixed seeds:
   times their covariance trace, counted at every scale 1..20 at dims
   2..5, as `vemse compute --scales 1..20` does.
 
-Each round times every case once in a fresh process per checkout, this
-checkout and then --base, or --base first on odd rounds, so the machine's
-drift falls on both sides. A case's time is the least of its in-process
-repeats; the report keeps every round and the median, the counts each
-side gave (they must agree), and the machine facts. This is not the gated
-benchmark under benchmarks/ and gates nothing.
+Each of the ROUNDS rounds times every case once in a fresh process per
+checkout, this checkout and then --base, or --base first on odd rounds, so
+the machine's drift falls on both sides. A case's time is the least of its
+in-process repeats; the report keeps every round and the median, the
+counts each side gave (they must agree), and the machine facts. This is
+not the gated benchmark under benchmarks/ and gates nothing.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHANNELS = {"channel_5k": (5_000, 5), "channel_20k": (20_000, 2),
             "channel_40k": (40_000, 1), "channel_100k": (100_000, 1)}
 CASES = list(CHANNELS) + ["compute_shape"]
+ROUNDS = 5
 
 
 def run_case(name):
@@ -71,7 +72,6 @@ def child(src, name):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", help="another checkout to time against this one")
-    ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_kernel.json"))
     ap.add_argument("--case", help=argparse.SUPPRESS)  # one timing, in a child process
     args = ap.parse_args(argv)
@@ -88,12 +88,12 @@ def main(argv=None):
     report = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__},
-        "rounds": args.rounds, "cases": {},
+        "rounds": ROUNDS, "cases": {},
     }
     for name in CASES:
         runs = {side: [] for side in sides}
         counts = {}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
                 got = child(sides[side], name)
                 runs[side].append(got["seconds"])
