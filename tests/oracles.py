@@ -113,11 +113,12 @@ def naive_cdv_phi(channels, dims, lags, radius):
     return sum(b / (count - 1) for b in counts) / count
 
 
-def naive_mmse(channels, dims, r_quotient, lags, scales):
+def naive_mmse_probs(channels, dims, r_quotient, lags, scales):
+    """Per scale, (phi at dims, mean phi over the P bumped passes) or None."""
     z = [_naive_zscore(ch) for ch in channels]
     radius = r_quotient * naive_trace(z)
     p = len(channels)
-    values = []
+    probs = []
     for tau in scales:
         cg = [naive_coarse_grain(ch, tau) for ch in z]
         phi = naive_cdv_phi(cg, dims, lags, radius)
@@ -132,12 +133,15 @@ def naive_mmse(channels, dims, r_quotient, lags, scales):
                     ok = False
                     break
                 ways.append(w)
-        if not ok:
-            values.append(None)
-            continue
-        phi_star = sum(ways) / p
-        if phi == 0 or phi_star == 0:
+        probs.append((phi, sum(ways) / p) if ok else None)
+    return probs
+
+
+def naive_mmse(channels, dims, r_quotient, lags, scales):
+    values = []
+    for pr in naive_mmse_probs(channels, dims, r_quotient, lags, scales):
+        if pr is None or pr[0] == 0 or pr[1] == 0:
             values.append(None)
         else:
-            values.append(-math.log(phi_star / phi))
+            values.append(-math.log(pr[1] / pr[0]))
     return values

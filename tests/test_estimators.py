@@ -16,6 +16,7 @@ from vemse import (
     vemse,
     AR3,
 )
+from oracles import naive_mmse_probs
 
 
 def dual(kind_a, kind_b, n, seed=0):
@@ -177,6 +178,45 @@ class TestMmse:
         data = MultichannelSeries(np.random.default_rng(0).standard_normal((2, 8)))
         curve = mmse(data, [3, 3], ToleranceRule.trace(0.15), scales=[4])
         assert curve.values == [None]
+
+    def test_one_bumped_pass_with_one_template_is_undefined_without_a_tree(self, monkeypatch):
+        # at scale 2 the 8 samples leave 4: the base pass (dims 2, 1) has 2
+        # templates, channel 0's bumped pass (dims 3, 1) has 1
+        import scipy.spatial
+
+        built = []
+        real = scipy.spatial.cKDTree
+
+        def spy(*args, **kwargs):
+            built.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", spy)
+        chans = np.random.default_rng(3).standard_normal((2, 8))
+        curve = mmse(MultichannelSeries(chans), [2, 1], ToleranceRule.trace(5.0), scales=[2])
+        assert curve.probs == [None] and curve.values == [None]
+        assert built == []
+        assert naive_mmse_probs([list(c) for c in chans], [2, 1], 5.0, [1, 1], [2]) == [None]
+        # the spy sees the trees of a feasible scale
+        mmse(MultichannelSeries(chans), [2, 1], ToleranceRule.trace(5.0), scales=[1])
+        assert built
+
+    def test_inclusive_ties_at_every_pass(self):
+        # two-level channels with equal level counts z-score to the same
+        # +-h, so every composite distance is 0 or exactly 2h, the radius:
+        # all T(T-1)/2 pairs match at the base and at every bumped pass
+        rng = np.random.default_rng(5)
+        chans = np.stack([rng.permutation(np.repeat([0.0, 1.0], 20)) for _ in range(3)])
+        z = (chans - chans.mean(axis=1, keepdims=True)) / chans.std(axis=1, ddof=1, keepdims=True)
+        radius = float(z.max() - z.min())
+        assert set(np.unique(np.abs(z[:, :, None] - z[:, None, :]))) == {0.0, radius}
+        data = MultichannelSeries(chans)
+        dims, lags = [2, 1, 3], [1, 2, 1]
+        curve = mmse(data, dims, ToleranceRule.absolute(radius), lags=lags)
+        assert curve.probs == [(1.0, 1.0)] and curve.values == [0.0]
+        # a radius one step lower keeps only the pairs at distance 0
+        below = mmse(data, dims, ToleranceRule.absolute(np.nextafter(radius, 0)), lags=lags)
+        assert below.probs[0][0] < 1.0 and below.probs[0][1] < 1.0
 
 
 class TestNegativeValues:

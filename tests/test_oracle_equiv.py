@@ -22,6 +22,7 @@ from oracles import (
     naive_coarse_grain,
     naive_counts,
     naive_mmse,
+    naive_mmse_probs,
     naive_phi,
     naive_sampen,
     naive_templates,
@@ -86,6 +87,51 @@ def test_mmse_matches_naive(seed):
             assert g is None
         else:
             assert g == pytest.approx(w, abs=1e-12)
+
+
+def _assert_mmse_matches_naive(curve, want):
+    assert len(curve.probs) == len(want)
+    for got, pr in zip(curve.probs, want):
+        if pr is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(pr, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mmse_probs_match_naive_on_unequal_dims_and_lags(seed):
+    # P = 1..4 with unequal dims (1-3) and lags (1-2) on 0.1-grid data,
+    # where many composite distances tie; short records leave the later
+    # scales with too few templates for some pass
+    rng = np.random.default_rng(300 + seed)
+    p = 1 + seed % 4
+    dims = [int(d) for d in rng.integers(1, 4, p)]
+    lags = [int(l) for l in rng.integers(1, 3, p)]
+    n = int(rng.integers(30, 90))
+    chans = rng.integers(-4, 5, (p, n)) * 0.1
+    scales = [1, 2, 5]
+    got = mmse(MultichannelSeries(chans), dims, ToleranceRule.trace(0.2), lags=lags,
+               scales=scales)
+    _assert_mmse_matches_naive(
+        got, naive_mmse_probs([list(c) for c in chans], dims, 0.2, lags, scales))
+
+
+def test_mmse_pair_walk_blocks_agree():
+    # one row per block walks the pairs over every row boundary; a budget
+    # of 1000 pairs gives blocks of 7 rows with a short last one
+    rng = np.random.default_rng(7)
+    chans = rng.integers(-4, 5, (3, 150)) * 0.1
+    dims, lags, scales = [2, 1, 3], [1, 2, 1], [1, 2]
+    data = MultichannelSeries(chans)
+    curves = []
+    for budget in (1, 1000, estimators._PAIR_BUDGET):
+        with mock.patch.object(estimators, "_PAIR_BUDGET", budget):
+            curves.append(mmse(data, dims, ToleranceRule.trace(0.3), lags=lags, scales=scales))
+    assert curves[0].probs == curves[1].probs == curves[2].probs
+    assert curves[0].values == curves[1].values == curves[2].values
+    assert None not in curves[0].probs
+    _assert_mmse_matches_naive(
+        curves[0], naive_mmse_probs([list(c) for c in chans], dims, 0.3, lags, scales))
 
 
 def test_undefinedness_monotone_in_dimension():

@@ -1,21 +1,28 @@
-"""Time the pair-count kernel (`vemse.estimators._pair_counts`) alone.
+"""Time the pair-count kernel (`vemse.estimators._pair_counts`) and mmse.
 
     python tools/bench_kernel.py [--base OTHER_CHECKOUT] [--out BENCH_kernel.json]
 
 Cases, all with fixed seeds:
 
-- ``channel_<N>``: one white Gaussian channel of N samples (5k, 20k, 40k,
-  100k) at m = 2, radius 0.2 times its standard deviation;
-- ``compute_shape``: four 4000-sample AR(2) channels, the radius 0.15
-  times their covariance trace, counted at every scale 1..20 at dims
-  2..5, as `vemse compute --scales 1..20` does.
+- ``channel_<N>``: `_pair_counts` on one white Gaussian channel of N
+  samples (5k, 20k, 40k, 100k) at m = 2, radius 0.2 times its standard
+  deviation;
+- ``compute_shape``: `_pair_counts` on four 4000-sample AR(2) channels,
+  the radius 0.15 times their covariance trace, counted at every scale
+  1..20 at dims 2..5, as `vemse compute --scales 1..20` does;
+- ``mmse_compute_shape``: `mmse` on the same four channels at dims 2 and
+  scales 1..5, as `vemse compute --estimator mmse --scales 1..5` does;
+- ``acceptance10_p<P>_<estimator>``: `vemse` and `mmse` on the input of
+  acceptance criterion 10 (P = 2 and 4 white-noise channels of 5000
+  samples, m = 2, r = 0.15, scale 1), which requires vemse to be no
+  slower than mmse.
 
 Each of the ROUNDS rounds times every case once in a fresh process per
 checkout, this checkout and then --base, or --base first on odd rounds, so
 the machine's drift falls on both sides. A case's time is the least of its
 in-process repeats; the report keeps every round and the median, the
-counts each side gave (they must agree), and the machine facts. This is
-not the gated benchmark under benchmarks/ and gates nothing.
+counts or probabilities each side gave (they must agree), and the machine
+facts. This is not the gated benchmark under benchmarks/ and gates nothing.
 """
 from __future__ import annotations
 
@@ -33,33 +40,59 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # name -> (samples, in-process repeats)
 CHANNELS = {"channel_5k": (5_000, 5), "channel_20k": (20_000, 2),
             "channel_40k": (40_000, 1), "channel_100k": (100_000, 1)}
-CASES = list(CHANNELS) + ["compute_shape"]
+# name -> (channels, estimator)
+ACCEPTANCE_10 = {"acceptance10_p%d_%s" % (p, est): (p, est)
+                 for p in (2, 4) for est in ("vemse", "mmse")}
+CASES = list(CHANNELS) + ["compute_shape", "mmse_compute_shape"] + list(ACCEPTANCE_10)
 ROUNDS = 5
 
 
 def run_case(name):
-    """Time one case in this process; returns (seconds, total counts)."""
+    """Time one case in this process; returns (seconds, what it computed)."""
     import numpy as np
-    from vemse import AR2, ToleranceRule, coarse_grain, generate_ar, resolve_tolerance
+    from vemse import (AR2, EntropyParams, ModelBundle, MultichannelSeries, ToleranceRule,
+                       coarse_grain, generate_ar, mmse, resolve_tolerance, vemse)
     from vemse.estimators import _pair_counts
+    from vemse.experiments import realize_bundle
 
+    def counts_of(calls):
+        out = [_pair_counts(chans, 1, [radius], dims) for chans, radius, dims in calls]
+        return [[int(v) for v in np.concatenate([lo[0], hi[0]])] for lo, hi in out]
+
+    record = np.stack([generate_ar(AR2, 4000, seed=(0, 0, c)) for c in range(4)])
     if name in CHANNELS:
         n, reps = CHANNELS[name]
         x = np.random.default_rng(n).standard_normal(n)
         calls = [(x[None, :], 0.2 * float(x.std(ddof=1)), [2])]
-    else:
+        once = lambda: counts_of(calls)
+    elif name == "compute_shape":
         reps = 3
-        chans = np.stack([generate_ar(AR2, 4000, seed=(0, 0, c)) for c in range(4)])
-        radius = resolve_tolerance(chans, ToleranceRule.trace(0.15))
-        calls = [(np.stack([coarse_grain(ch, tau) for ch in chans]), radius, [2, 3, 4, 5])
+        radius = resolve_tolerance(record, ToleranceRule.trace(0.15))
+        calls = [(np.stack([coarse_grain(ch, tau) for ch in record]), radius, [2, 3, 4, 5])
                  for tau in range(1, 21)]
+        once = lambda: counts_of(calls)
+    elif name == "mmse_compute_shape":
+        reps = 3
+        data = MultichannelSeries(record)
+        once = lambda: mmse(data, [2] * 4, ToleranceRule.trace(0.15), scales=range(1, 6)).probs
+        once()  # warm-up, untimed: the first mmse call imports scipy
+    else:
+        reps = 5
+        p, estimator = ACCEPTANCE_10[name]
+        data = MultichannelSeries(realize_bundle(ModelBundle.homogeneous("wgn", p), 5000, 0, 0))
+        if estimator == "vemse":
+            params = EntropyParams(m=2, r=0.15, L=1, scales=[1])
+            once = lambda: vemse(data, params).probs
+        else:
+            once = lambda: mmse(data, [2] * p, ToleranceRule.trace(0.15), scales=[1]).probs
+        once()  # warm-up, untimed, as in the acceptance test
     best = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        counts = [_pair_counts(chans, 1, [radius], dims) for chans, radius, dims in calls]
+        result = once()
         elapsed = time.perf_counter() - t0
         best = elapsed if best is None else min(best, elapsed)
-    return best, [[int(v) for v in np.concatenate([lo[0], hi[0]])] for lo, hi in counts]
+    return best, result
 
 
 def child(src, name):
