@@ -6,31 +6,26 @@ with an inclusive boundary, and probability aggregation with self-matches
 excluded. Probabilities are exact ratios of integer pair counts, so
 they equal the naive double loop's.
 
-Estimates need only integer counts of matching template pairs at m and
-m+1; no template matrix or per-template count is built. sampen, mse and
-vemse count through one entry point, _pair_counts, which takes a list of
-radii and gives the counts at m and m+1 for every channel. It has two
-exact counters and picks one per channel:
+sampen, mse and vemse count through one entry point, _pair_counts,
+which gives every channel's matching template pairs at m and m+1 for a
+list of radii. Each channel has its own dimension, so each is counted on
+its own, by one of two exact counters:
 
 - the diagonal sweep (_sweep_counts) visits every template pair, n^2/2
-  per channel whatever the radius: a pair matches at dimension d when its
-  run of close samples along the diagonal is long enough, so one sweep
-  counts every dimension, and the channels that take it share one sweep;
-- the band counter (_band_counts) sorts one channel's templates by their
-  first element and visits only the pairs whose first elements lie
-  within the largest radius, checking each template element there.
+  whatever the radius: a pair matches at dimension d when its run of
+  close samples along the diagonal is long enough, so one sweep counts
+  both dimensions;
+- the band counter (_band_counts) sorts the templates by their first
+  element and visits only the pairs whose first elements lie within the
+  largest radius, checking each template element there.
 
-A channel goes to the band counter when its band, sized before any
-counting, is narrow enough to beat the sweep (_band_is_cheaper): sample
-entropy's usual radii on long records. A sort-free floor on the band
-(_band_floors) sends most wide channels to the sweep unsorted; the
-others are sorted once, and the sort serves both the exact size and
-the band counter.
-
-Both counters take each block's |difference| once and run a compare
-chain per radius on it, so an r-sweep counts all its radii in one pass
-per scale (_vemse_curves; vemse and mse are its one-rule case, and
-sampen counts one radius through the same _curve_points).
+A channel goes to the band counter when its band is narrow enough to
+beat the sweep (_band_is_cheaper): sample entropy's usual radii on long
+records. A sort-free floor on the band (_band_floors) sends most wide
+channels to the sweep unsorted. Both counters walk their diagonals in
+blocks through one helper (_diff_blocks) that takes each block's
+|difference| once; each then runs its own compare chain per radius on
+it, so an r-sweep counts all its radii in one pass per scale.
 
 mmse counts composite delay vectors with one k-d tree pair walk per
 scale (_cdv_probs): the tree lists the pairs within the radius at the
@@ -87,7 +82,9 @@ def resolve_tolerance(data, rule: ToleranceRule) -> float:
 
     In covariance_trace mode the radius is quotient * tr(S), where S is
     the P x P sample covariance matrix (ddof=1) of the channels. Constant
-    data makes the trace zero and raises DegenerateToleranceError.
+    data makes the trace zero, and samples so large that the variance
+    overflows (about 1e154 and up) make it infinite; either raises
+    DegenerateToleranceError.
     """
     if rule.mode == "absolute":
         return float(rule.value)
@@ -95,91 +92,102 @@ def resolve_tolerance(data, rule: ToleranceRule) -> float:
         np.asarray(data, dtype=float))
     if chans.shape[1] < 2:
         raise InvalidParameterError("covariance_trace tolerance needs >= 2 samples per channel")
-    trace = float(np.sum(np.var(chans, axis=1, ddof=1)))
+    # an overflow is reported by the check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = float(np.sum(np.var(chans, axis=1, ddof=1)))
+    if not np.isfinite(trace):
+        raise DegenerateToleranceError("covariance trace overflows (samples too large)")
     if trace <= 0.0:
         raise DegenerateToleranceError("covariance trace is zero (constant input)")
     return rule.value * trace
 
 
-# Diagonal cells per channel (per template element in the band counter)
-# in one block of a pair counter; bounds its scratch memory (about 10
-# bytes per cell) while keeping the Python loop short.
-_BLOCK_CELLS = 1 << 15
+# Cells (element rows times diagonals times places) in one block of a
+# pair counter; bounds its scratch memory (about 10 bytes per cell) while
+# keeping each numpy call long and the Python loop short.
+_BLOCK_CELLS = 1 << 16
 
 
-def _sweep_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
-    """_pair_counts by a sweep over every diagonal of every channel.
+def _diff_blocks(S: np.ndarray, k_max: int, span):
+    """|S[e, q + k] - S[e, q]| over the diagonals k = 1..k_max, a block at a time.
+
+    S is (E, 2T) and NaN in its right half, so a pair reaching past place
+    T - 1 gives NaN; k_max must not pass T. span(k0) is (first, width):
+    the block from diagonal k0 covers places first..first + width - 1 of
+    each of its diagonals, with first + width <= T. A block holds about
+    _BLOCK_CELLS cells and at least one diagonal.
+
+    Yields (diff, scratch), both reused by the next block: diff[e, a, i]
+    at place first + i of diagonal k0 + a, and a bool array of its shape.
+    """
+    if k_max < 1:
+        return
+    n_el, t = S.shape[0], S.shape[1] // 2
+    step = S.strides[1]
+    # every diagonal of S as one view: diagonals[e, k, q] = S[e, q + k]
+    diagonals = np.lib.stride_tricks.as_strided(
+        S, shape=(n_el, k_max + 1, t), strides=(S.strides[0], step, step))
+    # scratch reused by every block: fresh arrays would page-fault each time
+    size = max(_BLOCK_CELLS, n_el * t)
+    diff_buf = np.empty(size)
+    scratch_buf = np.empty(size, dtype=bool)
+    k0 = 1
+    while k0 <= k_max:
+        first, width = span(k0)
+        rows = min(max(1, _BLOCK_CELLS // (n_el * width)), k_max + 1 - k0)
+        shape = (n_el, rows, width)
+        cells = n_el * rows * width
+        diff = np.subtract(diagonals[:, k0:k0 + rows, first:first + width],
+                           S[:, None, first:first + width], out=diff_buf[:cells].reshape(shape))
+        np.abs(diff, out=diff)
+        yield diff, scratch_buf[:cells].reshape(shape)
+        k0 += rows
+
+
+def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, cap=None):
+    """_pair_counts for one channel, by a sweep over every diagonal.
 
     Template pair (i, j = i + s) matches at dimension d exactly when
     |y[i+kL] - y[j+kL]| <= radius for k = 0..d-1, so one sweep over the
-    diagonals s counts every dimension at once: the match mask at d+1 is
-    the mask at d ANDed with the closeness of the d-th template element.
-    Each block of diagonals takes its |difference| once, shared by every
-    radius, and then runs the compare / AND / count chain once per radius.
+    diagonals s counts both dimensions at once: the match mask at e+1 is
+    the mask at e ANDed with the closeness of the e-th template element.
+    The channel is NaN-padded on the right, so a pair reaching past its
+    end compares False and drops out with no bound checks.
 
-    The channels are NaN-padded on the right, so a pair reaching past the
-    end of its channel compares False and drops out with no bound checks.
+    Returns (lo, hi): int arrays of len(radii), pair counts at d and d + 1.
     """
-    p, n = chans.shape
-    lo = np.zeros((len(radii), p), dtype=np.int64)
-    hi = np.zeros((len(radii), p), dtype=np.int64)
-    caps = [None] * p if caps is None else caps
-    pad = np.full((p, 2 * n), np.nan)
-    pad[:, :n] = chans
-    step = pad.strides[1]
-    # scratch reused by every block: fresh arrays would page-fault each time
-    size = p * max(_BLOCK_CELLS, n)
-    diff_buf = np.empty(size)
-    close_buf = np.empty(size, dtype=bool)
-    match_buf = np.empty(size, dtype=bool)
-
+    n = y.size
+    lo = np.zeros(len(radii), dtype=np.int64)
+    hi = np.zeros(len(radii), dtype=np.int64)
+    S = np.concatenate([y, np.full(n, np.nan)])[None, :]
+    match_buf = np.empty(max(_BLOCK_CELLS, n), dtype=bool)
     # a diagonal s holds a pair at dimension d only if s < n - (d-1)L
-    last = n - (dims[0] - 1) * lag
-    s0 = 1
-    while s0 < last:
-        width = n - s0
-        # stopping at `last` also keeps the strided view inside `pad`
-        rows = min(max(1, _BLOCK_CELLS // width), last - s0)
-        # later[c, a, i] = y_c[i + s0 + a], NaN past the end
-        later = np.lib.stride_tricks.as_strided(
-            pad[:, s0:], shape=(p, rows, width), strides=(pad.strides[0], step, step))
-        cells = p * rows * width
-        diff = np.subtract(later, chans[:, None, :width],
-                           out=diff_buf[:cells].reshape(p, rows, width))
-        np.abs(diff, out=diff)
+    for diff, scratch in _diff_blocks(S, n - (d - 1) * lag - 1, lambda k0: (0, n - k0)):
+        diff = diff[0]
+        rows, width = diff.shape
         for k, radius in enumerate(radii):
-            close = np.less_equal(diff, radius, out=close_buf[:cells].reshape(p, rows, width))
-            match = close
-            first = 0  # channels before `first` have both their counts
-            for d in range(1, dims[-1] + 2):
-                if d > 1:
-                    # match[..., i] at d: match at d-1 and close[..., i + (d-1)L]
-                    keep = width - (d - 1) * lag
-                    if keep <= 0:
-                        break
-                    if d == 2:
-                        match = np.logical_and(
-                            close[:, :, :keep], close[:, :, lag:],
-                            out=match_buf[:p * rows * keep].reshape(p, rows, keep))
-                    else:
-                        np.logical_and(match[first:, :, :keep], close[first:, :, (d - 1) * lag:],
-                                       out=match[first:, :, :keep])
-                        match = match[:, :, :keep]
-                for c in range(first, p):
-                    if dims[c] == d:
-                        mask = match[c]
-                        cap = caps[c]
-                        if cap is not None and cap < n - (d - 1) * lag:
-                            # pair j = i + s counts only if j < cap, i.e. while the
-                            # channel still has a sample n - cap places after j
-                            mask = mask[:, :max(width - (n - cap), 0)] & np.isfinite(
-                                later[c, :, n - cap:])
-                        lo[k, c] += np.count_nonzero(mask)
-                    elif dims[c] + 1 == d:
-                        hi[k, c] += np.count_nonzero(match[c])
-                while first < p and dims[first] + 1 <= d:
-                    first += 1
-        s0 += rows
+            close = match = np.less_equal(diff, radius, out=scratch[0])
+            for e in range(1, d + 1):
+                if e == d:
+                    counted = match
+                    if cap is not None and cap < n - (d - 1) * lag:
+                        # pair j = i + s counts only if j < cap, i.e. while the
+                        # channel still has a sample n - cap places after j
+                        counted = match[:, :max(width - (n - cap), 0)] & ~np.isnan(
+                            diff[:, n - cap:])
+                    lo[k] += np.count_nonzero(counted)
+                # match[:, i] at e + 1: match at e and close[:, i + eL]
+                keep = width - e * lag
+                if keep <= 0:
+                    break
+                if e == 1:
+                    match = np.logical_and(close[:, :keep], close[:, lag:],
+                                           out=match_buf[:rows * keep].reshape(rows, keep))
+                else:
+                    match = np.logical_and(match[:, :keep], close[:, e * lag:],
+                                           out=match[:, :keep])
+            else:  # no break: match holds the pairs at d + 1
+                hi[k] += np.count_nonzero(match)
     return lo, hi
 
 
@@ -221,10 +229,11 @@ def _band_floors(x: np.ndarray, radius: float) -> np.ndarray:
     if t < 2:
         return np.zeros(p, dtype=np.int64)
     bins = x - x.min(axis=1, keepdims=True)
-    bins *= _FLOOR_BINS / radius
-    top = bins.max()
+    # the top bin, found before scaling: a tiny radius overflows the scale
+    top = float(bins.max()) * (_FLOOR_BINS / radius)
     if not top < t:
         return np.zeros(p, dtype=np.int64)
+    bins *= _FLOOR_BINS / radius
     # each row's bins, after near + 1 empty bins and before near more
     near = _FLOOR_BINS - 2
     width = int(top) + 1
@@ -249,18 +258,13 @@ def _band_counts(y: np.ndarray, lag: int, radii, d: int, cap=None, band=None):
     """_pair_counts for one channel, walking the band of its sorted templates.
 
     The templates counted at d are sorted by their first element (band,
-    from _sorted_band at max(radii), when the caller has it); element e
-    of the template at sorted place q is S[e, q]. Ties may sit in any
-    order, since every pair of places is visited once either way. S is NaN
-    past the last template and past the end of y, so a pair reaching past
-    either compares False and drops out of the count at d + 1 as in the
-    sweep. Every unordered pair is one cell (q, q + k), k >= 1, and one
-    within the largest radius has k <= reach[q] (_band_reach), so only
-    diagonals k = 1..max(reach) are walked, each trimmed to the rows from
-    the first to the last whose reach gets to k. A candidate matches when
-    |S[e, q + k] - S[e, q]| <= radius for every element e: the sweep's
-    compare on the same two samples, up to an exact negation, so the
-    counts are exact.
+    from _sorted_band at max(radii), when the caller has it; ties in any
+    order); element e of the template at sorted place q is S[e, q], NaN
+    past the last template and past the end of y. A pair within the
+    largest radius is a cell (q, q + k) with 1 <= k <= reach[q]
+    (_band_reach), so each diagonal k is walked only over the places
+    whose reach gets to it. The compare is the sweep's on the same two
+    samples, up to an exact negation, so the counts are exact.
 
     Returns (lo, hi): int arrays of len(radii), pair counts at d and d + 1.
     """
@@ -272,36 +276,21 @@ def _band_counts(y: np.ndarray, lag: int, radii, d: int, cap=None, band=None):
     order, reach = _sorted_band(y, t, max(radii)) if band is None else band
     S = np.full((d + 1, 2 * t), np.nan)
     S[:, :t] = np.concatenate([y, np.full(lag, np.nan)])[order + lag * np.arange(d + 1)[:, None]]
+    # places reaching k run from the first whose prefix max of reach gets
+    # to k to the last whose suffix max does
     k_max = int(reach.max())
-    # rows reaching k run from the first whose prefix max of reach gets to
-    # k to the last whose suffix max does
-    head = np.maximum.accumulate(reach)
-    back = np.maximum.accumulate(reach[::-1])
-    step = S.strides[1]
-    size = (d + 1) * max(_BLOCK_CELLS, t)
-    diff_buf = np.empty(size)
-    close_buf = np.empty(size, dtype=bool)
-
-    k0 = 1
-    while k0 <= k_max:
-        first = int(np.searchsorted(head, k0))
-        width = t - int(np.searchsorted(back, k0)) - first
-        rows = min(max(1, _BLOCK_CELLS // width), k_max + 1 - k0)
-        # later[e, a, i] = S[e, first + i + k0 + a]; k_max < t keeps it inside S
-        later = np.lib.stride_tricks.as_strided(
-            S[:, first + k0:], shape=(d + 1, rows, width), strides=(S.strides[0], step, step))
-        cells = (d + 1) * rows * width
-        diff = np.subtract(later, S[:, None, first:first + width],
-                           out=diff_buf[:cells].reshape(d + 1, rows, width))
-        np.abs(diff, out=diff)
+    ks = np.arange(1, k_max + 1)
+    first = np.searchsorted(np.maximum.accumulate(reach), ks)
+    width = t - np.searchsorted(np.maximum.accumulate(reach[::-1]), ks) - first
+    spans = list(zip(first.tolist(), width.tolist()))
+    for diff, scratch in _diff_blocks(S, k_max, lambda k0: spans[k0 - 1]):
         for k, radius in enumerate(radii):
-            close = np.less_equal(diff, radius, out=close_buf[:cells].reshape(d + 1, rows, width))
+            close = np.less_equal(diff, radius, out=scratch)
             match = close[0]
             for e in range(1, d):
                 np.logical_and(match, close[e], out=match)
             lo[k] += np.count_nonzero(match)
             hi[k] += np.count_nonzero(np.logical_and(match, close[d], out=match))
-        k0 += rows
     return lo, hi
 
 
@@ -320,19 +309,19 @@ def _band_is_cheaper(n: int, d: int, band: int) -> bool:
 def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
     """Matching template pairs of every channel at dims[c] and dims[c] + 1, per radius.
 
-    chans is (P, n) with finite samples; dims must be nondecreasing; radii
-    is any sequence of radii (unsorted and repeated ones are fine).
-    caps[c], when given, keeps only the first caps[c] templates in the
-    count at dims[c]; it is the equal-template-count convention, so it is
-    never below the template count at dims[c] + 1.
+    chans is (P, n) with finite samples; radii is any sequence of radii
+    (unsorted and repeated ones are fine). caps[c], when given, keeps
+    only the first caps[c] templates in the count at dims[c]; it is the
+    equal-template-count convention, so it is never below the template
+    count at dims[c] + 1.
 
-    Two exact counters give the same counts. A channel whose band at the
-    largest radius is narrow (_band_is_cheaper) goes to the band counter;
-    the other channels share one diagonal sweep. A channel whose band's
-    floor (_band_floors, O(n) for all channels at once) is already too
-    wide goes to the sweep with no sort; any other is sorted once
-    (_sorted_band, O(n log n)), the exact band size decides, and the sort
-    goes on to the band counter.
+    Each channel is counted on its own by one of two exact counters. A
+    channel whose band at the largest radius is narrow (_band_is_cheaper)
+    goes to the band counter, any other to the diagonal sweep. A channel
+    whose band's floor (_band_floors, O(n) for all channels at once) is
+    already too wide goes to the sweep with no sort; any other is sorted
+    once (_sorted_band, O(n log n)), the exact band size decides, and the
+    sort goes on to the band counter.
 
     Returns (lo, hi): unordered pair counts at dims[c] and dims[c] + 1,
     int arrays of shape (len(radii), P), row k at radii[k]. Self-pairs
@@ -346,18 +335,14 @@ def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
     t = [_templates(n, d, lag, cap) for d, cap in zip(dims, caps)]
     # pairs among the first min(t) samples are pairs of every channel's band
     floors = _band_floors(chans[:, :max(min(t), 0)], radius)
-    swept = []
-    for c in range(p):
-        if t[c] >= 2 and _band_is_cheaper(n, dims[c], int(floors[c])):
-            order, reach = _sorted_band(chans[c], t[c], radius)
-            if _band_is_cheaper(n, dims[c], int(reach.sum())):
-                lo[:, c], hi[:, c] = _band_counts(chans[c], lag, radii, dims[c], caps[c],
-                                                  (order, reach))
-                continue
-        swept.append(c)
-    if swept:
-        lo[:, swept], hi[:, swept] = _sweep_counts(
-            chans[swept], lag, radii, [dims[c] for c in swept], [caps[c] for c in swept])
+    for c, (d, cap) in enumerate(zip(dims, caps)):
+        band = None
+        if t[c] >= 2 and _band_is_cheaper(n, d, int(floors[c])):
+            band = _sorted_band(chans[c], t[c], radius)
+            if not _band_is_cheaper(n, d, int(band[1].sum())):
+                band = None
+        lo[:, c], hi[:, c] = (_sweep_counts(chans[c], lag, radii, d, cap) if band is None
+                              else _band_counts(chans[c], lag, radii, d, cap, band))
     return lo, hi
 
 
@@ -400,8 +385,12 @@ def _log_ratio(probs):
 
 
 def _zscore(chans: np.ndarray) -> np.ndarray:
-    mean = chans.mean(axis=1, keepdims=True)
-    sd = chans.std(axis=1, ddof=1, keepdims=True)
+    # an overflow is reported by the check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = chans.mean(axis=1, keepdims=True)
+        sd = chans.std(axis=1, ddof=1, keepdims=True)
+    if not np.all(np.isfinite(sd)):
+        raise DegenerateToleranceError("channel variance overflows (samples too large)")
     sd = np.where(sd > 0, sd, 1.0)
     return (chans - mean) / sd
 

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, determinism, config echo, replay."""
 import argparse
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,25 @@ class TestCompute:
                          "--scales", "1..3", "--per-scale-tolerance")
         assert code == 0
         assert read_result(out).rows[1][1] is None
+
+    def test_overflowing_trace_exits_2_naming_it(self, tmp_path, capsys):
+        # samples near 1e154 overflow the covariance trace: the run is
+        # refused with no warning, where it used to echo an infinite radius
+        rec = tmp_path / "big.csv"
+        write_record(MultichannelSeries(1e154 * np.random.default_rng(1).standard_normal((2, 200))),
+                     rec)
+        out = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run(capsys, "compute", "--input", str(rec),
+                                       "--output", str(tmp_path / "o.csv"))
+            assert code == 2
+            assert "overflows" in stderr and "resolved_radius" not in stdout
+            # per scale, each scale has no radius and its point is undefined
+            code, _, _ = run(capsys, "compute", "--input", str(rec), "--output", str(out),
+                             "--scales", "1..3", "--per-scale-tolerance")
+        assert code == 0
+        assert [row[1] for row in read_result(out).rows] == [None, None, None]
 
     def test_record_parsed_once(self, record, tmp_path, capsys, monkeypatch):
         import vemse.cli

@@ -1,5 +1,6 @@
 """Unit tests for the shared estimator machinery."""
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,8 +15,10 @@ from vemse import (
     ToleranceRule,
     coarse_grain,
     generate_ar,
+    mmse,
     resolve_tolerance,
     sampen,
+    vemse,
 )
 from vemse import estimators
 from vemse.estimators import _band_counts, _band_floors, _band_reach, _pair_counts, _sweep_counts
@@ -62,6 +65,24 @@ class TestResolveTolerance:
     def test_constant_data_degenerate(self):
         with pytest.raises(DegenerateToleranceError):
             resolve_tolerance(np.ones((2, 10)), ToleranceRule.trace(0.15))
+
+    def test_overflowing_trace_degenerate_with_no_warning(self):
+        # squares of samples near 1e154 pass the largest float, so the
+        # variance overflows: refused, never an infinite radius
+        chans = 1e154 * np.random.default_rng(2).standard_normal((2, 300))
+        params = EntropyParams(m=2, r=0.15, L=1, scales=[1, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateToleranceError, match="overflows"):
+                resolve_tolerance(chans, ToleranceRule.trace(0.15))
+            for normalize in (False, True):
+                with pytest.raises(DegenerateToleranceError, match="overflows"):
+                    vemse(MultichannelSeries(chans), params, normalize=normalize)
+            with pytest.raises(DegenerateToleranceError, match="overflows"):
+                mmse(MultichannelSeries(chans), [2, 2])
+            # per scale, each scale has no radius, so each point is undefined
+            curve = vemse(MultichannelSeries(chans), params, per_scale_tolerance=True)
+        assert curve.values == [None, None]
 
 
 class TestPairCounts:
@@ -118,7 +139,7 @@ class TestCounterChoice:
                                   wraps=estimators._sweep_counts) as sweep:
             counts = _pair_counts(chans, 1, radii, dims)
         return ([call.args[3] for call in band.call_args_list],
-                [list(call.args[3]) for call in sweep.call_args_list], counts)
+                [call.args[3] for call in sweep.call_args_list], counts)
 
     def test_head_compute_goes_to_the_band(self):
         # the record_io head compute: sampen on the first 4000 rows of an
@@ -134,19 +155,19 @@ class TestCounterChoice:
         chans = realize_bundle(ModelBundle.homogeneous(kind, 2), 1000, 0, 0)
         radii = [resolve_tolerance(chans, ToleranceRule.trace(q / 10)) for q in range(1, 16)]
         assert 2.8 < max(radii) < 3.2
-        assert self.split(chans, radii, [2, 3])[:2] == ([], [[2, 3]])
+        assert self.split(chans, radii, [2, 3])[:2] == ([], [2, 3])
 
     def test_compute_shape_goes_to_the_sweep_unsorted(self):
         # 4000 x 4 AR(2) at 0.15 times the trace (r about 0.6 sd): a third
         # of all pairs lie in the band at scale 1, more at coarser scales,
-        # where the shared sweep is cheaper; the band's floor tells so at
+        # where the sweep is cheaper; the band's floor tells so at
         # every scale, so no channel is sorted
         chans = np.stack([generate_ar(AR2, 4000, seed=(0, 0, c)) for c in range(4)])
         radius = resolve_tolerance(chans, ToleranceRule.trace(0.15))
         with mock.patch.object(estimators, "_sorted_band") as sort:
             for tau in range(1, 21):
                 cg = np.stack([coarse_grain(ch, tau) for ch in chans])
-                assert self.split(cg, [radius], [2, 3, 4, 5])[:2] == ([], [[2, 3, 4, 5]])
+                assert self.split(cg, [radius], [2, 3, 4, 5])[:2] == ([], [2, 3, 4, 5])
         sort.assert_not_called()
 
     @pytest.mark.parametrize("kind", ["normal", "offset", "grid", "integers"])
@@ -181,8 +202,9 @@ class TestCounterChoice:
         chans = np.stack([rng.standard_normal(1500) * s for s in (0.2, 10.0, 0.3, 5.0)])
         radii = [0.5, 0.1, 0.3]
         banded, swept, (lo, hi) = self.split(chans, radii, [1, 2, 3, 4])
-        assert (banded, swept) == ([2, 4], [[1, 3]])
-        want_lo, want_hi = _sweep_counts(chans, 1, radii, [1, 2, 3, 4])
+        assert (banded, swept) == ([2, 4], [1, 3])
+        want_lo, want_hi = np.stack([_sweep_counts(y, 1, radii, d) for d, y in enumerate(chans, 1)],
+                                    axis=2)
         assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
 
@@ -207,6 +229,16 @@ class TestSampen:
     def test_invalid_radius(self):
         with pytest.raises(InvalidParameterError):
             sampen([1.0, 2.0, 3.0, 4.0], 2, 0.0)
+
+    def test_subnormal_radius_raises_no_warning(self):
+        # radius / _FLOOR_BINS overflows at a subnormal radius: the band
+        # floors must come out zero, not NaN with a RuntimeWarning
+        x = np.random.default_rng(4).standard_normal(300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sampen(x, 2, 1e-310) is None
+            assert sampen(np.zeros(50), 2, 5e-324) == 0.0
+            assert _band_floors(x[None, :], 1e-310).tolist() == [0]
 
 
 class TestSeriesTypes:

@@ -161,10 +161,10 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
     # integers with an integer radius. extra = 0 leaves the last channel
     # exactly two templates in its second pass; extra = -1 leaves one.
     # Small blocks split the diagonals over many steps of both counters.
-    # The radii come in any order, repeats included. The sweep over all
-    # channels, the band counter on each channel and _pair_counts, which
-    # chooses between them, must all give the naive double loop's counts,
-    # and row k must equal a call at radii[k] alone.
+    # The radii come in any order, repeats included. The sweep and the
+    # band counter on each channel and _pair_counts, which chooses between
+    # them, must all give the naive double loop's counts, and row k must
+    # equal a call at radii[k] alone.
     dims = [m + c for c in range(p)]
     n = dims[-1] * lag + 2 + extra
     levels = st.integers(-4, 4) if grid else st.integers(-3, 3)
@@ -176,12 +176,12 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
 
     with mock.patch.object(estimators, "_BLOCK_CELLS", block):
         lo, hi = _pair_counts(chans, lag, radii, dims, caps)
-        swept = _sweep_counts(chans, lag, radii, dims, caps)
+        swept = [_sweep_counts(chans[c], lag, radii, d, caps[c]) for c, d in enumerate(dims)]
         banded = [_band_counts(chans[c], lag, radii, d, caps[c]) for c, d in enumerate(dims)]
         points = _curve_points(chans, m, lag, radii, equal)
         singles = [_pair_counts(chans, lag, [radius], dims, caps) for radius in radii]
-    assert lo.shape == hi.shape == swept[0].shape == swept[1].shape == (len(radii), p)
-    assert all(b.shape == (len(radii),) for band in banded for b in band)
+    assert lo.shape == hi.shape == (len(radii), p)
+    assert all(b.shape == (len(radii),) for counts in swept + banded for b in counts)
     assert len(points) == len(radii)
     for k, radius in enumerate(radii):
         assert np.array_equal(lo[k], singles[k][0][0])
@@ -194,7 +194,7 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
                 templates = naive_templates(y, dim, lag)[:cap]
                 t = len(templates)
                 matches = sum(naive_counts(templates, radius))
-                assert 2 * count == 2 * swept[j][k][c] == 2 * banded[c][j][k] == matches
+                assert 2 * count == 2 * swept[c][j][k] == 2 * banded[c][j][k] == matches
                 if t >= 2:
                     phi = float(Fraction(matches, t * (t - 1)))
                     assert phi == pytest.approx(naive_phi(y, dim, lag, radius, cap), abs=1e-12)
@@ -205,3 +205,36 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
             assert naive_phi(chans[-1].tolist(), dims[-1] + 1, lag, radius) is None
         else:
             assert points[k] == tuple(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 3), lag=st.integers(1, 2), extra=st.integers(0, 30), equal=st.booleans(),
+       block=st.sampled_from([1, 7, 1 << 16]), data=st.data())
+def test_band_and_sweep_count_one_channel_alike_at_extreme_magnitudes(d, lag, extra, equal,
+                                                                      block, data):
+    # Samples drawn from a few values between 1e-300 and 1e300 in size,
+    # of either sign, each nudged by up to one ulp, so distances span the
+    # whole range and near-ties abound. The radii sit at a distance two
+    # samples realize and one ulp either side. The two counters must give
+    # the same counts on the same channel, and the naive double loop's.
+    n = d * lag + 2 + extra
+    pool = data.draw(st.lists(
+        st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.999),
+                  st.integers(-300, 299)).map(lambda v: v[0] * v[1] * 10.0 ** v[2]),
+        min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(-1, 1)),
+                               min_size=n, max_size=n))
+    y = np.array([np.nextafter(pool[i], np.copysign(np.inf, nudge * pool[i])) if nudge
+                  else pool[i] for i, nudge in picks])
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    at = abs(y[i] - y[j])
+    radii = [r for r in (np.nextafter(at, 0.0), at, np.nextafter(at, np.inf)) if r > 0]
+    cap = n - d * lag if equal else None
+
+    with mock.patch.object(estimators, "_BLOCK_CELLS", block):
+        band = _band_counts(y, lag, radii, d, cap)
+        sweep = _sweep_counts(y, lag, radii, d, cap)
+    for k, radius in enumerate(radii):
+        for count, dim, dim_cap in ((0, d, cap), (1, d + 1, None)):
+            matches = sum(naive_counts(naive_templates(y.tolist(), dim, lag)[:dim_cap], radius))
+            assert 2 * band[count][k] == 2 * sweep[count][k] == matches

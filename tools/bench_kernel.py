@@ -10,6 +10,11 @@ Cases, all with fixed seeds:
 - ``compute_shape``: `_pair_counts` on four 4000-sample AR(2) channels,
   the radius 0.15 times their covariance trace, counted at every scale
   1..20 at dims 2..5, as `vemse compute --scales 1..20` does;
+- ``sweep_r_shape``: `_pair_counts` on the 6 realizations (wgn and ar1,
+  3 each) of two 1000-sample channels at dims 2 and 3, each at the 15
+  radii 0.1..1.5 times its covariance trace, as `vemse sweep --vary r
+  --values 0.1:0.1:1.5 --models wgn,ar1 --realizations 3` does: many
+  short blocks, so the shape most sensitive to per-block overhead;
 - ``mmse_compute_shape``: `mmse` on the same four channels at dims 2 and
   scales 1..5, as `vemse compute --estimator mmse --scales 1..5` does;
 - ``acceptance10_p<P>_<estimator>``: `vemse` and `mmse` on the input of
@@ -20,9 +25,9 @@ Cases, all with fixed seeds:
 Each of the ROUNDS rounds times every case once in a fresh process per
 checkout, this checkout and then --base, or --base first on odd rounds, so
 the machine's drift falls on both sides. A case's time is the least of its
-in-process repeats; the report keeps every round and the median, the
-counts or probabilities each side gave (they must agree), and the machine
-facts. This is not the gated benchmark under benchmarks/ and gates nothing.
+in-process repeats; the report keeps every round, the median and the
+machine facts, and the counts or probabilities the two sides give must
+agree. This is not the gated benchmark under benchmarks/ and gates nothing.
 """
 from __future__ import annotations
 
@@ -43,7 +48,8 @@ CHANNELS = {"channel_5k": (5_000, 5), "channel_20k": (20_000, 2),
 # name -> (channels, estimator)
 ACCEPTANCE_10 = {"acceptance10_p%d_%s" % (p, est): (p, est)
                  for p in (2, 4) for est in ("vemse", "mmse")}
-CASES = list(CHANNELS) + ["compute_shape", "mmse_compute_shape"] + list(ACCEPTANCE_10)
+CASES = list(CHANNELS) + ["compute_shape", "sweep_r_shape", "mmse_compute_shape"] + list(
+    ACCEPTANCE_10)
 ROUNDS = 5
 
 
@@ -56,20 +62,27 @@ def run_case(name):
     from vemse.experiments import realize_bundle
 
     def counts_of(calls):
-        out = [_pair_counts(chans, 1, [radius], dims) for chans, radius, dims in calls]
-        return [[int(v) for v in np.concatenate([lo[0], hi[0]])] for lo, hi in out]
+        out = [_pair_counts(chans, 1, radii, dims) for chans, radii, dims in calls]
+        return [[int(v) for v in np.concatenate([lo.ravel(), hi.ravel()])] for lo, hi in out]
 
     record = np.stack([generate_ar(AR2, 4000, seed=(0, 0, c)) for c in range(4)])
     if name in CHANNELS:
         n, reps = CHANNELS[name]
         x = np.random.default_rng(n).standard_normal(n)
-        calls = [(x[None, :], 0.2 * float(x.std(ddof=1)), [2])]
+        calls = [(x[None, :], [0.2 * float(x.std(ddof=1))], [2])]
         once = lambda: counts_of(calls)
     elif name == "compute_shape":
         reps = 3
         radius = resolve_tolerance(record, ToleranceRule.trace(0.15))
-        calls = [(np.stack([coarse_grain(ch, tau) for ch in record]), radius, [2, 3, 4, 5])
+        calls = [(np.stack([coarse_grain(ch, tau) for ch in record]), [radius], [2, 3, 4, 5])
                  for tau in range(1, 21)]
+        once = lambda: counts_of(calls)
+    elif name == "sweep_r_shape":
+        reps = 5
+        realized = [realize_bundle(ModelBundle.homogeneous(kind, 2), 1000, 0, k)
+                    for kind in ("wgn", "ar1") for k in range(3)]
+        calls = [(chans, [resolve_tolerance(chans, ToleranceRule.trace(q / 10))
+                          for q in range(1, 16)], [2, 3]) for chans in realized]
         once = lambda: counts_of(calls)
     elif name == "mmse_compute_shape":
         reps = 3
