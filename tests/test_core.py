@@ -23,7 +23,7 @@ from vemse import (
 from vemse import estimators
 from vemse.estimators import _band_counts, _band_floors, _band_reach, _pair_counts, _sweep_counts
 from vemse.experiments import ModelBundle, realize_bundle
-from oracles import naive_counts, naive_templates
+from oracles import naive_counts, naive_sampen, naive_templates, naive_vemse_point
 
 
 class TestCoarseGrain:
@@ -239,6 +239,26 @@ class TestSampen:
             assert sampen(x, 2, 1e-310) is None
             assert sampen(np.zeros(50), 2, 5e-324) == 0.0
             assert _band_floors(x[None, :], 1e-310).tolist() == [0]
+
+    def test_samples_near_the_largest_float_raise_no_warning(self):
+        # 1e308 - (-1e308) overflows to inf, which never matches a finite
+        # radius: the counts stay exact and no RuntimeWarning leaks out
+        x = np.tile([1e308, -1e308, 5e307], 40)
+        chans = np.stack([x, np.roll(x, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sampen(x, 2, 1.0)
+            curve = vemse(MultichannelSeries(chans), EntropyParams(m=2, scales=[1]),
+                          ToleranceRule.absolute(1.0))
+            floors = _band_floors(chans, 1.0)
+            counts = [counter(x, 1, [1.0], 2) for counter in (_sweep_counts, _band_counts)]
+        assert got == pytest.approx(naive_sampen(x.tolist(), 2, 1.0), abs=1e-12)
+        assert curve.values[0] == pytest.approx(
+            naive_vemse_point(chans.tolist(), 2, 1, 1.0), abs=1e-12)
+        assert floors.tolist() == [0, 0]
+        for lo, hi in counts:
+            for count, dim in ((lo[0], 2), (hi[0], 3)):
+                assert 2 * count == sum(naive_counts(naive_templates(x.tolist(), dim, 1), 1.0))
 
 
 class TestSeriesTypes:

@@ -117,21 +117,59 @@ def test_mmse_probs_match_naive_on_unequal_dims_and_lags(seed):
 
 
 def test_mmse_pair_walk_blocks_agree():
-    # one row per block walks the pairs over every row boundary; a budget
-    # of 1000 pairs gives blocks of 7 rows with a short last one
+    # a tile of 1 makes every pair a pair between two tiles; a tile of 7
+    # leaves a short last tile, so t_bump falls inside a tile
     rng = np.random.default_rng(7)
     chans = rng.integers(-4, 5, (3, 150)) * 0.1
     dims, lags, scales = [2, 1, 3], [1, 2, 1], [1, 2]
     data = MultichannelSeries(chans)
     curves = []
-    for budget in (1, 1000, estimators._PAIR_BUDGET):
-        with mock.patch.object(estimators, "_PAIR_BUDGET", budget):
+    for tile in (1, 7, estimators._TILE):
+        with mock.patch.object(estimators, "_TILE", tile):
             curves.append(mmse(data, dims, ToleranceRule.trace(0.3), lags=lags, scales=scales))
     assert curves[0].probs == curves[1].probs == curves[2].probs
     assert curves[0].values == curves[1].values == curves[2].values
     assert None not in curves[0].probs
     _assert_mmse_matches_naive(
         curves[0], naive_mmse_probs([list(c) for c in chans], dims, 0.3, lags, scales))
+
+
+def _unit_grid_channel(rng, n, half):
+    """n shuffled multiples of 0.25 with mean exactly 0 and sample variance exactly 1.
+
+    Pairs +-k/4 give the zero mean, and the rest are zeros; k is drawn
+    until the squares sum to n - 1. z-scoring such a channel changes no
+    sample, so every Chebyshev distance between its templates is exact.
+    """
+    while True:
+        k = rng.integers(-7, 8, half)
+        if k @ k == 8 * (n - 1):
+            return rng.permutation(np.concatenate([k, -k, np.zeros(n - 2 * half)]) / 4)
+
+
+def test_mmse_counts_exact_ties_on_both_listings():
+    # a radius of one grid step is met exactly by many pairs, within a
+    # tile (query_pairs) and between tiles (sparse_distance_matrix); the
+    # inclusive boundary must count them on both, at every tiling
+    rng = np.random.default_rng(12)
+    chans = np.stack([_unit_grid_channel(rng, 71, 30) for _ in range(2)])
+    assert np.all(chans.mean(axis=1) == 0) and np.all(chans.std(axis=1, ddof=1) == 1)
+    data = MultichannelSeries(chans)
+    dims, scales, step = [2, 1], [1, 2], 0.25
+    # the z-scored trace is exactly 2, so the oracle's radius is the step.
+    # The oracle sums per-template fractions, a few ulps off the exact
+    # ratios, so it is met at 1e-12; one tie more or less would move a
+    # probability by about 2 / (T (T - 1)), some 4e-4 here.
+    want = naive_mmse_probs([list(c) for c in chans], dims, step / 2, [1, 1], scales)
+    curves = []
+    for tile in (1, 7, estimators._TILE):
+        with mock.patch.object(estimators, "_TILE", tile):
+            curves.append(mmse(data, dims, ToleranceRule.absolute(step), scales=scales))
+        _assert_mmse_matches_naive(curves[-1], want)
+    assert curves[0].probs == curves[1].probs == curves[2].probs
+    # the ties are there: a radius one ulp short loses some at every scale
+    short = mmse(data, dims, ToleranceRule.absolute(np.nextafter(step, 0)), scales=scales)
+    assert all(g[0] > s[0] for g, s in zip(curves[0].probs, short.probs))
 
 
 def test_undefinedness_monotone_in_dimension():

@@ -1,6 +1,6 @@
 """Time the pair-count kernel (`vemse.estimators._pair_counts`) and mmse.
 
-    python tools/bench_kernel.py [--base OTHER_CHECKOUT] [--out BENCH_kernel.json]
+    python tools/bench_kernel.py [--base OTHER_CHECKOUT] [--rounds N] [--out BENCH_kernel.json]
 
 Cases, all with fixed seeds:
 
@@ -17,17 +17,23 @@ Cases, all with fixed seeds:
   short blocks, so the shape most sensitive to per-block overhead;
 - ``mmse_compute_shape``: `mmse` on the same four channels at dims 2 and
   scales 1..5, as `vemse compute --estimator mmse --scales 1..5` does;
+- ``mmse_wide_radius``: `mmse` on two 4000-sample white Gaussian channels
+  at dims 2 and the absolute radius 100, where every template pair
+  matches: the shape that lists the most pairs, so the one that bounds
+  the pair walk's memory;
 - ``acceptance10_p<P>_<estimator>``: `vemse` and `mmse` on the input of
   acceptance criterion 10 (P = 2 and 4 white-noise channels of 5000
   samples, m = 2, r = 0.15, scale 1), which requires vemse to be no
   slower than mmse.
 
-Each of the ROUNDS rounds times every case once in a fresh process per
-checkout, this checkout and then --base, or --base first on odd rounds, so
-the machine's drift falls on both sides. A case's time is the least of its
-in-process repeats; the report keeps every round, the median and the
-machine facts, and the counts or probabilities the two sides give must
-agree. This is not the gated benchmark under benchmarks/ and gates nothing.
+Each of the --rounds rounds (default 5) times every case once in a fresh
+process per checkout, this checkout and then --base, or --base first on
+odd rounds, so the machine's drift falls on both sides. A case's time is
+the least of its in-process repeats, and its memory the peak resident
+set (ru_maxrss) of the process that ran it; the report keeps every
+round's time and peak, their medians and the machine facts, and the
+counts or probabilities the two sides give must agree. This is not the
+gated benchmark under benchmarks/ and gates nothing.
 """
 from __future__ import annotations
 
@@ -35,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,9 +55,8 @@ CHANNELS = {"channel_5k": (5_000, 5), "channel_20k": (20_000, 2),
 # name -> (channels, estimator)
 ACCEPTANCE_10 = {"acceptance10_p%d_%s" % (p, est): (p, est)
                  for p in (2, 4) for est in ("vemse", "mmse")}
-CASES = list(CHANNELS) + ["compute_shape", "sweep_r_shape", "mmse_compute_shape"] + list(
-    ACCEPTANCE_10)
-ROUNDS = 5
+CASES = list(CHANNELS) + ["compute_shape", "sweep_r_shape", "mmse_compute_shape",
+                          "mmse_wide_radius"] + list(ACCEPTANCE_10)
 
 
 def run_case(name):
@@ -89,6 +95,11 @@ def run_case(name):
         data = MultichannelSeries(record)
         once = lambda: mmse(data, [2] * 4, ToleranceRule.trace(0.15), scales=range(1, 6)).probs
         once()  # warm-up, untimed: the first mmse call imports scipy
+    elif name == "mmse_wide_radius":
+        reps = 1
+        data = MultichannelSeries(realize_bundle(ModelBundle.homogeneous("wgn", 2), 4000, 0, 0))
+        once = lambda: mmse(data, [2, 2], ToleranceRule.absolute(100.0)).probs
+        import scipy.spatial  # untimed: the first mmse call imports it
     else:
         reps = 5
         p, estimator = ACCEPTANCE_10[name]
@@ -118,12 +129,16 @@ def child(src, name):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", help="another checkout to time against this one")
+    ap.add_argument("--rounds", type=int, default=5, help="fresh-process runs per case and side")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_kernel.json"))
     ap.add_argument("--case", help=argparse.SUPPRESS)  # one timing, in a child process
     args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
     if args.case:
         seconds, counts = run_case(args.case)
-        print(json.dumps({"seconds": seconds, "counts": counts}))
+        rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        print(json.dumps({"seconds": seconds, "rss_mib": rss_mib, "counts": counts}))
         return 0
 
     import numpy
@@ -134,22 +149,27 @@ def main(argv=None):
     report = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__},
-        "rounds": ROUNDS, "cases": {},
+        "rounds": args.rounds, "cases": {},
     }
     for name in CASES:
         runs = {side: [] for side in sides}
+        rss = {side: [] for side in sides}
         counts = {}
-        for r in range(ROUNDS):
+        for r in range(args.rounds):
             for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
                 got = child(sides[side], name)
                 runs[side].append(got["seconds"])
+                rss[side].append(got["rss_mib"])
                 counts[side] = got["counts"]
         if len({json.dumps(c) for c in counts.values()}) != 1:
             raise SystemExit("%s: the two checkouts count differently" % name)
-        report["cases"][name] = {side: {"median_s": statistics.median(ts), "runs_s": ts}
-                                 for side, ts in runs.items()}
-        print(name, " ".join("%s %.4f s" % (side, statistics.median(ts))
-                             for side, ts in runs.items()), flush=True)
+        report["cases"][name] = {
+            side: {"median_s": statistics.median(runs[side]), "runs_s": runs[side],
+                   "median_rss_mib": statistics.median(rss[side]), "runs_rss_mib": rss[side]}
+            for side in sides}
+        print(name, " ".join("%s %.4f s %.1f MiB" % (side, statistics.median(runs[side]),
+                                                     statistics.median(rss[side]))
+                             for side in sides), flush=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
