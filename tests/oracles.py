@@ -113,6 +113,20 @@ def naive_cdv_phi(channels, dims, lags, radius):
     return sum(b / (count - 1) for b in counts) / count
 
 
+def naive_cdv_pairs(channels, dims, lags, radius):
+    """(templates, matching pairs) of the composite delay vectors, or None.
+
+    The integer count behind naive_cdv_phi, which sums per-template
+    fractions and so lands a few ulps from 2 * pairs / (T (T - 1)).
+    """
+    count = len(channels[0]) - max(dims) * max(lags)
+    if count < 2:
+        return None
+    cdvs = [[y[i + j * l_c] for y, m_c, l_c in zip(channels, dims, lags) for j in range(m_c)]
+            for i in range(count)]
+    return count, sum(naive_counts(cdvs, radius)) // 2
+
+
 def naive_mmse_probs(channels, dims, r_quotient, lags, scales):
     """Per scale, (phi at dims, mean phi over the P bumped passes) or None."""
     z = [_naive_zscore(ch) for ch in channels]

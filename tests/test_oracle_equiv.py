@@ -1,4 +1,5 @@
 """Estimators vs the independent brute-force oracles at small N."""
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -19,6 +20,7 @@ from vemse import (
 from vemse import estimators
 from vemse.estimators import _band_counts, _curve_points, _pair_counts, _sweep_counts
 from oracles import (
+    naive_cdv_pairs,
     naive_coarse_grain,
     naive_counts,
     naive_mmse,
@@ -158,18 +160,27 @@ def test_mmse_counts_exact_ties_on_both_listings():
     dims, scales, step = [2, 1], [1, 2], 0.25
     # the z-scored trace is exactly 2, so the oracle's radius is the step.
     # The oracle sums per-template fractions, a few ulps off the exact
-    # ratios, so it is met at 1e-12; one tie more or less would move a
-    # probability by about 2 / (T (T - 1)), some 4e-4 here.
+    # ratios, so it is met at 1e-12; the brute-force pair counts, put
+    # through mmse's own ratio, are met with ==.
     want = naive_mmse_probs([list(c) for c in chans], dims, step / 2, [1, 1], scales)
-    curves = []
+    exact = []
+    for tau in scales:
+        cg = [naive_coarse_grain(list(c), tau) for c in chans]
+        t, base = naive_cdv_pairs(cg, dims, [1, 1], step)
+        phis = []
+        for c in range(len(dims)):
+            t_c, pairs = naive_cdv_pairs(cg, [d + (k == c) for k, d in enumerate(dims)], [1, 1],
+                                         step)
+            phis.append(int(2 * pairs) / (t_c * (t_c - 1)))
+        exact.append((int(2 * base) / (t * (t - 1)), math.fsum(phis) / len(dims)))
     for tile in (1, 7, estimators._TILE):
         with mock.patch.object(estimators, "_TILE", tile):
-            curves.append(mmse(data, dims, ToleranceRule.absolute(step), scales=scales))
-        _assert_mmse_matches_naive(curves[-1], want)
-    assert curves[0].probs == curves[1].probs == curves[2].probs
+            curve = mmse(data, dims, ToleranceRule.absolute(step), scales=scales)
+        assert [tuple(pr) for pr in curve.probs] == exact
+        _assert_mmse_matches_naive(curve, want)
     # the ties are there: a radius one ulp short loses some at every scale
     short = mmse(data, dims, ToleranceRule.absolute(np.nextafter(step, 0)), scales=scales)
-    assert all(g[0] > s[0] for g, s in zip(curves[0].probs, short.probs))
+    assert all(g[0] > s[0] for g, s in zip(exact, short.probs))
 
 
 def test_undefinedness_monotone_in_dimension():

@@ -1,6 +1,6 @@
 """Time the pair-count kernel (`vemse.estimators._pair_counts`) and mmse.
 
-    python tools/bench_kernel.py [--base OTHER_CHECKOUT] [--rounds N] [--out BENCH_kernel.json]
+    python tools/bench_kernel.py [--base OTHER_CHECKOUT] [--out BENCH_kernel.json]
 
 Cases, all with fixed seeds:
 
@@ -26,8 +26,8 @@ Cases, all with fixed seeds:
   samples, m = 2, r = 0.15, scale 1), which requires vemse to be no
   slower than mmse.
 
-Each of the --rounds rounds (default 5) times every case once in a fresh
-process per checkout, this checkout and then --base, or --base first on
+Each of the ROUNDS rounds times every case once in a fresh process per
+checkout, this checkout and then --base, or --base first on
 odd rounds, so the machine's drift falls on both sides. A case's time is
 the least of its in-process repeats, and its memory the peak resident
 set (ru_maxrss) of the process that ran it; the report keeps every
@@ -48,6 +48,10 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# fresh-process runs per case and checkout; fewer leave a 2-CPU machine's
+# spread wider than the gaps the report is read for
+ROUNDS = 11
 
 # name -> (samples, in-process repeats)
 CHANNELS = {"channel_5k": (5_000, 5), "channel_20k": (20_000, 2),
@@ -129,12 +133,9 @@ def child(src, name):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", help="another checkout to time against this one")
-    ap.add_argument("--rounds", type=int, default=5, help="fresh-process runs per case and side")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_kernel.json"))
     ap.add_argument("--case", help=argparse.SUPPRESS)  # one timing, in a child process
     args = ap.parse_args(argv)
-    if args.rounds < 1:
-        ap.error("--rounds must be at least 1")
     if args.case:
         seconds, counts = run_case(args.case)
         rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
@@ -149,13 +150,13 @@ def main(argv=None):
     report = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__},
-        "rounds": args.rounds, "cases": {},
+        "rounds": ROUNDS, "cases": {},
     }
     for name in CASES:
         runs = {side: [] for side in sides}
         rss = {side: [] for side in sides}
         counts = {}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
                 got = child(sides[side], name)
                 runs[side].append(got["seconds"])
