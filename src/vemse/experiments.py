@@ -22,7 +22,13 @@ from functools import partial
 import numpy as np
 
 from .estimators import _vemse_curves, mmse, vemse
-from .series import EntropyParams, InvalidParameterError, MultichannelSeries, ToleranceRule
+from .series import (
+    EntropyParams,
+    InvalidParameterError,
+    MultichannelSeries,
+    ToleranceRule,
+    whole_number,
+)
 from .signals import (
     AR1,
     AR2,
@@ -132,6 +138,9 @@ class SweepSpec:
         if not self.bundles:
             raise InvalidParameterError("model_set must be non-empty")
         _check_unique([b.name for b in self.bundles])
+        self.n_samples = whole_number(self.n_samples, "n_samples")
+        self.realizations = whole_number(self.realizations, "realizations")
+        self.base_seed = whole_number(self.base_seed, "base_seed")
         if self.realizations < 1:
             raise InvalidParameterError("realizations must be >= 1")
         # each point's parameters, refused with the estimators' own message
@@ -373,6 +382,9 @@ def timing_benchmark(
     values = list(values)
     if any(v % 1 != 0 for v in values):
         raise InvalidParameterError("%s values must be whole numbers" % (vary,))
+    n_samples = whole_number(n_samples, "n_samples")
+    channels = whole_number(channels, "channels")
+    runs = whole_number(runs, "runs")
     if runs < 1:
         raise InvalidParameterError("runs must be >= 1")
     ve_mean, ve_med, mm_mean, mm_med = [], [], [], []

@@ -22,6 +22,21 @@ class RecordParseError(VemseError):
     """An on-disk record could not be parsed; message carries row/column context."""
 
 
+def whole_number(value, name: str) -> int:
+    """value as an int, for a parameter that counts: 2, 2.0 and numpy ints pass.
+
+    A value with a fractional part (or a NaN, or no number at all) raises
+    InvalidParameterError rather than being truncated.
+    """
+    try:
+        whole = value % 1 == 0
+    except TypeError:
+        whole = False
+    if not whole:
+        raise InvalidParameterError("%s must be a whole number, got %r" % (name, value))
+    return int(value)
+
+
 @dataclass
 class MultichannelSeries:
     """P aligned channels of real-valued samples.
@@ -82,13 +97,15 @@ class EntropyParams:
     scales: list[int] = field(default_factory=lambda: [1])
 
     def __post_init__(self):
+        self.m = whole_number(self.m, "m")
+        self.L = whole_number(self.L, "L")
         if self.m < 1:
             raise InvalidParameterError("m must be >= 1, got %r" % (self.m,))
         if self.L < 1:
             raise InvalidParameterError("L must be >= 1, got %r" % (self.L,))
         if not self.r > 0:
             raise InvalidParameterError("r must be > 0, got %r" % (self.r,))
-        scales = [int(s) for s in self.scales]
+        scales = [whole_number(s, "scale") for s in self.scales]
         if not scales:
             raise InvalidParameterError("scales must be non-empty")
         if scales[0] < 1 or any(b <= a for a, b in zip(scales, scales[1:])):

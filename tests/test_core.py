@@ -159,16 +159,24 @@ class TestCounterChoice:
 
     def test_compute_shape_goes_to_the_sweep_unsorted(self):
         # 4000 x 4 AR(2) at 0.15 times the trace (r about 0.6 sd): a third
-        # of all pairs lie in the band at scale 1, more at coarser scales,
-        # where the sweep is cheaper; the band's floor tells so at
-        # every scale, so no channel is sorted
+        # of all pairs lie in the band at scale 1, more at coarser scales.
+        # Only the lowest dims of the first scales are cheaper in the band;
+        # every other channel goes to the sweep, and from scale 16 on the
+        # band's floor tells so for every channel, so none is sorted
         chans = np.stack([generate_ar(AR2, 4000, seed=(0, 0, c)) for c in range(4)])
         radius = resolve_tolerance(chans, ToleranceRule.trace(0.15))
-        with mock.patch.object(estimators, "_sorted_band") as sort:
-            for tau in range(1, 21):
-                cg = np.stack([coarse_grain(ch, tau) for ch in chans])
-                assert self.split(cg, [radius], [2, 3, 4, 5])[:2] == ([], [2, 3, 4, 5])
-        sort.assert_not_called()
+        banded = {}
+        for tau in range(1, 21):
+            cg = np.stack([coarse_grain(ch, tau) for ch in chans])
+            with mock.patch.object(estimators, "_sorted_band",
+                                   wraps=estimators._sorted_band) as sort:
+                band, sweep = self.split(cg, [radius], [2, 3, 4, 5])[:2]
+            assert sorted(band + sweep) == [2, 3, 4, 5]
+            if band:
+                banded[tau] = band
+            if tau >= 16:
+                sort.assert_not_called()
+        assert banded == {1: [2, 3], 2: [2], 3: [2], 4: [2], 5: [2]}
 
     @pytest.mark.parametrize("kind", ["normal", "offset", "grid", "integers"])
     def test_band_floor_is_below_the_band(self, kind):
@@ -230,6 +238,15 @@ class TestSampen:
         with pytest.raises(InvalidParameterError):
             sampen([1.0, 2.0, 3.0, 4.0], 2, 0.0)
 
+    @pytest.mark.parametrize("m, r_abs, lag", [(0, 0.2, 1), (-1, 0.2, 1), (2, 0.2, 0),
+                                               (2, 0.2, -1), (2, float("nan"), 1)],
+                             ids=["m=0", "m=-1", "lag=0", "lag=-1", "r=nan"])
+    def test_invalid_parameters_refused(self, m, r_abs, lag):
+        # each used to fail deep inside numpy, or to return -0.0 or None
+        x = np.random.default_rng(9).standard_normal(200)
+        with pytest.raises(InvalidParameterError):
+            sampen(x, m, r_abs, lag)
+
     def test_subnormal_radius_raises_no_warning(self):
         # radius / _FLOOR_BINS overflows at a subnormal radius: the band
         # floors must come out zero, not NaN with a RuntimeWarning
@@ -274,6 +291,33 @@ class TestSeriesTypes:
     def test_nan_tolerance_rejected(self, make):
         with pytest.raises(InvalidParameterError, match="nan"):
             make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: EntropyParams(scales=[1, 2.5]),
+        lambda: EntropyParams(m=2.7),
+        lambda: EntropyParams(L=1.5),
+        lambda: coarse_grain([1.0, 2.0, 3.0, 4.0, 5.0], 2.5),
+        lambda: mmse(MultichannelSeries(np.eye(2, 40)), [2, 2], scales=[1.9]),
+        lambda: mmse(MultichannelSeries(np.eye(2, 40)), [2, 2.5]),
+        lambda: mmse(MultichannelSeries(np.eye(2, 40)), [2, 2], lags=[1, 1.5]),
+        lambda: sampen(np.arange(40.0), 2.5, 0.2),
+        lambda: sampen(np.arange(40.0), 2, 0.2, lag=1.5),
+    ], ids=["scales", "m", "L", "tau", "mmse-scales", "mmse-dims", "mmse-lags", "sampen-m",
+            "sampen-lag"])
+    def test_fractional_counts_refused_not_truncated(self, make):
+        with pytest.raises(InvalidParameterError, match="whole number"):
+            make()
+
+    def test_whole_floats_and_numpy_ints_accepted(self):
+        params = EntropyParams(m=2.0, L=np.int64(1), scales=[1.0, np.int32(2)])
+        assert (params.m, params.L, params.scales) == (2, 1, [1, 2])
+        assert all(type(v) is int for v in [params.m, params.L] + params.scales)
+        x = np.random.default_rng(2).standard_normal(200)
+        assert sampen(x, 2.0, 0.2, lag=np.int64(1)) == sampen(x, 2, 0.2)
+        assert coarse_grain(x, 2.0).tolist() == coarse_grain(x, 2).tolist()
+        chans = MultichannelSeries(np.stack([x, x[::-1]]))
+        assert mmse(chans, [2.0, np.int64(2)], lags=[1.0, 1], scales=[np.int64(1), 2.0]).values \
+            == mmse(chans, [2, 2], scales=[1, 2]).values
 
     def test_channel_order_preserved(self):
         data = MultichannelSeries(np.array([[1.0, 2.0], [3.0, 4.0]]),

@@ -77,6 +77,13 @@ class TestRunSweep:
         small_spec(swept_parameter=vary, sweep_values=[1.0, 2.0])
         small_spec(swept_parameter="r", sweep_values=[0.1, 2.5])
 
+    @pytest.mark.parametrize("field", ["n_samples", "realizations", "base_seed"])
+    def test_fractional_counts_rejected(self, field):
+        # each used to reach run_sweep and die there with a TypeError
+        with pytest.raises(InvalidParameterError, match="whole number"):
+            small_spec(**{field: 2.5})
+        assert type(getattr(small_spec(**{field: 2.0}), field)) is int
+
     @pytest.mark.parametrize("vary,values", [
         ("m", [1, 2]), ("r", [0.2, 0.5]), ("N", [40, 150, 300]), ("scale", [1, 2, 40]),
     ], ids=["m", "r", "N", "scale"])
@@ -258,3 +265,10 @@ class TestTiming:
     def test_fractional_values_rejected(self, vary):
         with pytest.raises(InvalidParameterError, match="whole numbers"):
             timing_benchmark(vary, [1, 2.5], n_samples=100, runs=1)
+
+    @pytest.mark.parametrize("field", ["n_samples", "channels", "runs"])
+    def test_fractional_sizes_rejected(self, field):
+        # each used to die inside the first estimate with a TypeError
+        kwargs = dict(n_samples=100, channels=2, runs=1)
+        with pytest.raises(InvalidParameterError, match="whole number"):
+            timing_benchmark("m", [2], **dict(kwargs, **{field: 1.5}))

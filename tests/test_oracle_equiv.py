@@ -265,7 +265,9 @@ def test_band_and_sweep_count_one_channel_alike_at_extreme_magnitudes(d, lag, ex
     # of either sign, each nudged by up to one ulp, so distances span the
     # whole range and near-ties abound. The radii sit at a distance two
     # samples realize and one ulp either side. The two counters must give
-    # the same counts on the same channel, and the naive double loop's.
+    # the same counts on the same channel, and the naive double loop's,
+    # both with all radii in one call (the float test) and with each radius
+    # alone (the rank test).
     n = d * lag + 2 + extra
     pool = data.draw(st.lists(
         st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.999),
@@ -283,7 +285,32 @@ def test_band_and_sweep_count_one_channel_alike_at_extreme_magnitudes(d, lag, ex
     with mock.patch.object(estimators, "_BLOCK_CELLS", block):
         band = _band_counts(y, lag, radii, d, cap)
         sweep = _sweep_counts(y, lag, radii, d, cap)
+        alone = [(_band_counts(y, lag, [radius], d, cap), _sweep_counts(y, lag, [radius], d, cap))
+                 for radius in radii]
     for k, radius in enumerate(radii):
         for count, dim, dim_cap in ((0, d, cap), (1, d + 1, None)):
             matches = sum(naive_counts(naive_templates(y.tolist(), dim, lag)[:dim_cap], radius))
             assert 2 * band[count][k] == 2 * sweep[count][k] == matches
+            assert 2 * alone[k][0][count][0] == 2 * alone[k][1][count][0] == matches
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 3), lag=st.integers(1, 2), extra=st.integers(0, 30), equal=st.booleans(),
+       data=st.data())
+def test_rank_test_counts_alike_with_uint32_ranks(d, lag, extra, equal, data):
+    # Channels of 65535 samples or more take uint32 ranks, with their own
+    # sentinel and wrap-around; a patched dtype puts short tie-heavy
+    # channels on them. Each radius alone (the rank test) must give the
+    # naive double loop's counts on both counters.
+    n = d * lag + 2 + extra
+    y = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))) * 0.1
+    cap = n - d * lag if equal else None
+    with mock.patch.object(estimators, "_rank_dtype", return_value=np.uint32) as dtype:
+        for radius in (0.1, 0.2, 0.3):
+            band = _band_counts(y, lag, [radius], d, cap)
+            sweep = _sweep_counts(y, lag, [radius], d, cap)
+            for count, dim, dim_cap in ((0, d, cap), (1, d + 1, None)):
+                matches = sum(naive_counts(naive_templates(y.tolist(), dim, lag)[:dim_cap],
+                                           radius))
+                assert 2 * band[count][0] == 2 * sweep[count][0] == matches
+    assert dtype.call_count == 6  # every count took the uint32 ranks
