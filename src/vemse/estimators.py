@@ -15,21 +15,22 @@ its own, by one of two exact counters:
   whatever the radius: a pair matches at dimension d when its run of
   close samples along the diagonal is long enough, so one sweep counts
   both dimensions;
-- the band counter (_band_counts) sorts the templates by their first
-  element and visits only the pairs whose first elements lie within the
-  largest radius, checking each template element there.
+- the band counter (_band_counts) takes the templates in sorted order
+  of their first element and visits only the pairs whose first elements
+  lie within the largest radius, checking each template element there.
 
-A channel goes to the band counter when its band is narrow enough to
-beat the sweep (_band_is_cheaper): sample entropy's usual radii on long
-records. A sort-free floor on the band (_band_floors) sends most wide
-channels to the sweep with no band search. Both counters walk their
+Each channel is sorted once (_sort_channel), and both counters take
+what they need from that one sort: the exact extent of the band, from
+each sample's run end at the largest radius (_run_ends), and the ranks
+of the rank test below. A channel goes to the band counter when its
+band is narrow enough to beat the sweep (_band_is_cheaper): sample
+entropy's usual radii on long records. Both counters walk their
 diagonals in blocks through one helper (_close_blocks) that tests which
 sample pairs are close, by one of two exact tests (_ranks_are_cheaper):
 
-- at one radius, on sample ranks: each channel is sorted once, each
-  sample gets the run of sorted places whose computed |difference| from
-  it is within the radius (_rank_runs), and a cell costs a uint16
-  subtract and a compare;
+- at one radius, on sample ranks: each sample gets the run of sorted
+  places whose computed |difference| from it is within the radius
+  (_rank_runs), and a cell costs a uint16 subtract and a compare;
 - for several radii (an r-sweep), on float |differences|: each block's
   |difference| is taken once and compared with every radius, so the
   radii are counted in one pass per scale.
@@ -166,65 +167,61 @@ def _run_ends(s: np.ndarray, radius: float) -> np.ndarray:
     return end
 
 
-def _rank_runs(y: np.ndarray, radii):
-    """(rank, runs): y's sample ranks and, per radius, each sample's run of close ranks.
+def _rank_runs(order: np.ndarray, end: np.ndarray):
+    """(rank, lo, w): the sample ranks of a channel and each sample's run of close ranks.
 
-    rank[i] is y[i]'s place in sorted order. For runs[k] = (lo, w),
-    |y[j] - y[i]| (as computed) is <= radii[k] exactly when rank[j] lies
-    in lo[i]..lo[i] + w[i]: the computed difference never falls as y[j]
-    grows and ties give equal differences, so that run is contiguous and
-    holds whole tie groups. Each array has one more entry, for a sample
-    past the end: its rank is the dtype's max, a sentinel that lies in no
-    run, and its run (lo = n, w = 0) holds no rank.
+    order sorts the channel (y[order] is sorted) and end is _run_ends of
+    the sorted channel at the one radius. rank[i] is y[i]'s place in
+    sorted order, and |y[j] - y[i]| (as computed) is <= the radius exactly
+    when rank[j] lies in lo[i]..lo[i] + w[i]: the computed difference
+    never falls as y[j] grows and ties give equal differences, so that run
+    is contiguous and holds whole tie groups. Each array has one more
+    entry, for a sample past the end: its rank is the dtype's max, a
+    sentinel that lies in no run, and its run (lo = n, w = 0) holds no
+    rank.
 
-    Each run's end is searched with the sorted samples as needles, so the
-    needles come in order; its start follows from the ends, since the
-    test is symmetric (s[p] is close to s[q] exactly when s[q] is to s[p]).
+    A run's start follows from the ends, since the test is symmetric
+    (s[p] is close to s[q] exactly when s[q] is to s[p]).
     """
-    n = y.size
+    n = order.size
     dtype = _rank_dtype(n)
-    order = np.argsort(y)
-    s = y[order]
     rank = np.full(n + 1, np.iinfo(dtype).max, dtype=dtype)
     rank[order] = np.arange(n, dtype=dtype)
-    runs = []
-    for radius in radii:
-        end = _run_ends(s, radius)
-        # start[q] = #{p: end[p] <= q}, the first place whose run reaches q
-        start = np.cumsum(np.bincount(end, minlength=n + 1)[:n])
-        lo = np.full(n + 1, n, dtype=dtype)
-        w = np.zeros(n + 1, dtype=dtype)
-        lo[order] = start
-        w[order] = end - start - 1
-        runs.append((lo, w))
-    return rank, runs
+    # start[q] = #{p: end[p] <= q}, the first place whose run reaches q
+    start = np.cumsum(np.bincount(end, minlength=n + 1)[:n])
+    lo = np.full(n + 1, n, dtype=dtype)
+    w = np.zeros(n + 1, dtype=dtype)
+    lo[order] = start
+    w[order] = end - start - 1
+    return rank, lo, w
 
 
-def _keys(y: np.ndarray, radii, at: np.ndarray):
-    """(S, runs): the samples y[at] as _close_blocks keys, for the test _ranks_are_cheaper picks.
+def _keys(y: np.ndarray, ranks, at: np.ndarray):
+    """(S, run): the samples y[at] as _close_blocks keys.
 
-    at is (E, T) sample indices, those >= y.size past the end of y. S is
-    (E, 2T): the samples and NaN (float test, runs None) or their ranks
-    and the sentinel (rank test, runs[k] = (lo, w), each (E, T)), past
+    ranks is _rank_runs of y for the rank test, or None for the float
+    test. at is (E, T) sample indices, those >= y.size past the end of y.
+    S is (E, 2T): the samples and NaN (float test, run None) or their
+    ranks and the sentinel (rank test, run = (lo, w), each (E, T)), past
     the end and in the right half.
     """
     n = y.size
     e, t = at.shape
     at = np.minimum(at, n)
-    if not _ranks_are_cheaper(radii):
+    if ranks is None:
         S = np.full((e, 2 * t), np.nan)
         S[:, :t] = np.append(y, np.nan)[at]
         return S, None
-    rank, runs = _rank_runs(y, radii)
+    rank, lo, w = ranks
     S = np.full((e, 2 * t), rank[n])
     S[:, :t] = rank[at]
-    return S, [(lo[at], w[at]) for lo, w in runs]
+    return S, (lo[at], w[at])
 
 
-def _close_blocks(S: np.ndarray, runs, k_max: int, span, radii):
+def _close_blocks(S: np.ndarray, run, k_max: int, span, radii):
     """Which pairs on the diagonals k = 1..k_max are close, a block at a time.
 
-    S and runs come from _keys; k_max must not pass T. span(k0) is
+    S and run come from _keys; k_max must not pass T. span(k0) is
     (first, width): the block from diagonal k0 covers places first..first
     + width - 1 of each of its diagonals, with first + width <= T. A
     block holds about _BLOCK_CELLS cells and at least one diagonal. A
@@ -237,8 +234,8 @@ def _close_blocks(S: np.ndarray, runs, k_max: int, span, radii):
     each radius; samples near +-1e308 can differ by more than the largest
     float, so the caller runs the walk under np.errstate(over="ignore"),
     since an infinite |difference| never matches a finite radius. The rank
-    test takes rank[j] - lo[i] modulo the dtype, which is <= w[i] exactly
-    when rank[j] lies in the run.
+    test, at its one radius, takes rank[j] - lo[i] modulo the dtype, which
+    is <= w[i] exactly when rank[j] lies in the run.
     """
     if k_max < 1:
         return
@@ -261,18 +258,18 @@ def _close_blocks(S: np.ndarray, runs, k_max: int, span, radii):
         block = diagonals[:, k0:k0 + rows, cols]
         gap = gap_buf[:cells].reshape(shape)
         close = close_buf[:cells].reshape(shape)
-        if runs is None:
+        if run is None:
             np.abs(np.subtract(block, S[:, None, cols], out=gap), out=gap)
             for k, radius in enumerate(radii):
                 yield k0, k, np.less_equal(gap, radius, out=close)
         else:
-            for k, (lo, w) in enumerate(runs):
-                np.subtract(block, lo[:, None, cols], out=gap)
-                yield k0, k, np.less_equal(gap, w[:, None, cols], out=close)
+            lo, w = run
+            np.subtract(block, lo[:, None, cols], out=gap)
+            yield k0, 0, np.less_equal(gap, w[:, None, cols], out=close)
         k0 += rows
 
 
-def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, cap=None):
+def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, cap, chan):
     """_pair_counts for one channel, by a sweep over every diagonal.
 
     Template pair (i, j = i + s) matches at dimension d exactly when
@@ -280,14 +277,16 @@ def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, cap=None):
     diagonals s counts both dimensions at once: the match mask at e+1 is
     the mask at e ANDed with the closeness of the e-th template element.
     A pair reaching past the channel's end is never close
-    (_close_blocks), so it drops out with no bound checks.
+    (_close_blocks), so it drops out with no bound checks. chan is
+    _sort_channel's result for the same arguments; the sweep reads only
+    its ranks.
 
     Returns (lo, hi): int arrays of len(radii), pair counts at d and d + 1.
     """
     n = y.size
     lo = np.zeros(len(radii), dtype=np.int64)
     hi = np.zeros(len(radii), dtype=np.int64)
-    S, runs = _keys(y, radii, np.arange(n)[None, :])
+    S, run = _keys(y, chan[0], np.arange(n)[None, :])
     capped = cap is not None and cap < n - (d - 1) * lag
     if capped:
         # before_cap[s, i]: whether j = i + s is below the cap
@@ -296,7 +295,7 @@ def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, cap=None):
     # a diagonal s holds a pair at dimension d only if s < n - (d-1)L; an
     # overflowing difference is infinite and matches nothing (_close_blocks)
     with np.errstate(over="ignore"):
-        for k0, k, close in _close_blocks(S, runs, n - (d - 1) * lag - 1,
+        for k0, k, close in _close_blocks(S, run, n - (d - 1) * lag - 1,
                                           lambda k0: (0, n - k0), radii):
             close = match = close[0]
             rows, width = close.shape
@@ -329,86 +328,50 @@ def _templates(n: int, d: int, lag: int, cap=None) -> int:
     return t if cap is None else min(t, cap)
 
 
-def _band_reach(s: np.ndarray, radius: float) -> np.ndarray:
-    """reach[q]: how far past place q of sorted s a value within radius can lie.
+def _sort_channel(y: np.ndarray, lag: int, radii, d: int, cap):
+    """(ranks, order, reach): what either counter needs for one channel, from one sort.
 
-    Value s[q + k] can be within radius of s[q] only if k <= reach[q]. The
-    search is widened by a few ulps of the data's magnitude, so rounding
-    never leaves out a pair whose computed |difference| is at most radius;
-    the extra pairs it lets in are still decided by that compare.
-    reach.sum() is the size of the band at radius.
+    y is argsorted once and each sorted place's run end at max(radii) is
+    searched exactly (_run_ends). ranks is _rank_runs at the one radius
+    for the rank test (_ranks_are_cheaper), None for the float test.
+    order lists the T templates counted at d (the first T samples) by
+    their first element, ties in any order, and reach[q] is how many of
+    the later ones in that order lie within max(radii) of template
+    order[q] there: the band's pairs are the cells (q, q + k) with
+    1 <= k <= reach[q], and reach.sum() is its size.
     """
-    slack = 4 * np.finfo(float).eps * (radius + max(-s[0], s[-1]))
-    return np.searchsorted(s, s + (radius + slack), side="right") - np.arange(1, s.size + 1)
+    t = _templates(y.size, d, lag, cap)
+    order = np.argsort(y)
+    end = _run_ends(y[order], max(radii))
+    ranks = _rank_runs(order, end) if _ranks_are_cheaper(radii) else None
+    # the templates' sorted places, and before[p]: how many lie before place p
+    is_tpl = order < t
+    at = np.flatnonzero(is_tpl)
+    before = np.concatenate(([0], np.cumsum(is_tpl)))
+    return ranks, order[at], before[end[at]] - before[at + 1]
 
 
-# Bins per radius in _band_floors; a floor falls short of its band by
-# about 1.5 bins' share of it
-_FLOOR_BINS = 8
-
-
-def _band_floors(x: np.ndarray, radius: float) -> np.ndarray:
-    """Lower bounds on the sizes of the bands of x's rows at radius, found with no sort.
-
-    Each row is binned at radius / _FLOOR_BINS; two samples at most
-    _FLOOR_BINS - 2 bins apart are closer than radius, with a bin to spare
-    for rounding, so they are a pair of the band. Counting them takes
-    O(x.size) for all rows at once, where sizing one band exactly
-    (_band_reach) needs a sort and a search. Gives zeros when a row's bins
-    would outnumber its samples.
-    """
-    p, t = x.shape
-    if t < 2:
-        return np.zeros(p, dtype=np.int64)
-    with np.errstate(over="ignore"):  # an infinite span fails the check below
-        bins = x - x.min(axis=1, keepdims=True)
-    # the top bin, found before scaling: a tiny radius overflows the scale
-    top = float(bins.max()) * (_FLOOR_BINS / radius)
-    if not top < t:
-        return np.zeros(p, dtype=np.int64)
-    bins *= _FLOOR_BINS / radius
-    # each row's bins, after near + 1 empty bins and before near more
-    near = _FLOOR_BINS - 2
-    width = int(top) + 1
-    padded = width + 2 * near + 1
-    at = bins.astype(np.intp)
-    at += np.arange(near + 1, p * padded, padded)[:, None]
-    counts = np.bincount(at.ravel(), minlength=p * padded).reshape(p, padded)
-    below = counts.cumsum(axis=1)
-    # samples within `near` bins of each bin, the bin's own included: each
-    # sample meets itself once, and each pair is met from both ends
-    close = counts[:, near + 1:near + 1 + width] * (below[:, 2 * near + 1:] - below[:, :width])
-    return (close.sum(axis=1) - t) // 2
-
-
-def _sorted_band(y: np.ndarray, t: int, radius: float):
-    """(order, reach): y's first t samples in sorted order and their _band_reach."""
-    order = np.argsort(y[:t])
-    return order, _band_reach(y[order], radius)
-
-
-def _band_counts(y: np.ndarray, lag: int, radii, d: int, cap=None, band=None):
+def _band_counts(y: np.ndarray, lag: int, radii, d: int, cap, chan):
     """_pair_counts for one channel, walking the band of its sorted templates.
 
-    The templates counted at d are sorted by their first element (band,
-    from _sorted_band at max(radii), when the caller has it; ties in any
-    order); element e of the template at sorted place q is S[e, q]
-    (_keys), and past the last template and past the end of y nothing is
-    close. A pair within the largest radius is a cell (q, q + k) with
-    1 <= k <= reach[q] (_band_reach), so each diagonal k is walked only
-    over the places whose reach gets to it. The closeness test is the
-    sweep's on the same two samples, up to an exact negation, so the
-    counts are exact.
+    chan is _sort_channel's result for the same arguments: the templates
+    counted at d in sorted order and each one's reach. Element e of the
+    template at sorted place q is S[e, q] (_keys), and past the last
+    template and past the end of y nothing is close. Every pair within
+    the largest radius is a cell (q, q + k) with 1 <= k <= reach[q], so
+    each diagonal k is walked only over the places whose reach gets to
+    it. The closeness test is the sweep's on the same two samples, up to
+    an exact negation, so the counts are exact.
 
     Returns (lo, hi): int arrays of len(radii), pair counts at d and d + 1.
     """
     lo = np.zeros(len(radii), dtype=np.int64)
     hi = np.zeros(len(radii), dtype=np.int64)
-    t = _templates(y.size, d, lag, cap)
+    ranks, order, reach = chan
+    t = order.size
     if t < 2:
         return lo, hi
-    order, reach = _sorted_band(y, t, max(radii)) if band is None else band
-    S, runs = _keys(y, radii, order + lag * np.arange(d + 1)[:, None])
+    S, run = _keys(y, ranks, order + lag * np.arange(d + 1)[:, None])
     # places reaching k run from the first whose prefix max of reach gets
     # to k to the last whose suffix max does
     k_max = int(reach.max())
@@ -418,7 +381,7 @@ def _band_counts(y: np.ndarray, lag: int, radii, d: int, cap=None, band=None):
     spans = list(zip(first.tolist(), width.tolist()))
     # an overflowing difference is infinite and matches nothing (_close_blocks)
     with np.errstate(over="ignore"):
-        for _, k, close in _close_blocks(S, runs, k_max, lambda k0: spans[k0 - 1], radii):
+        for _, k, close in _close_blocks(S, run, k_max, lambda k0: spans[k0 - 1], radii):
             match = close[0]
             for e in range(1, d):
                 np.logical_and(match, close[e], out=match)
@@ -450,13 +413,11 @@ def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
     equal-template-count convention, so it is never below the template
     count at dims[c] + 1.
 
-    Each channel is counted on its own by one of two exact counters. A
-    channel whose band at the largest radius is narrow (_band_is_cheaper)
-    goes to the band counter, any other to the diagonal sweep. A channel
-    whose band's floor (_band_floors, O(n) for all channels at once) is
-    already too wide goes to the sweep with no band search; any other
-    gets one (_sorted_band, O(n log n)), the exact band size decides, and
-    the band goes on to the band counter.
+    Each channel is sorted once (_sort_channel), which sizes its band at
+    the largest radius exactly, and is counted on its own by one of two
+    exact counters, both fed by that sort: a channel whose band is narrow
+    (_band_is_cheaper) goes to the band counter, any other to the
+    diagonal sweep.
 
     Returns (lo, hi): unordered pair counts at dims[c] and dims[c] + 1,
     int arrays of shape (len(radii), P), row k at radii[k]. Self-pairs
@@ -464,20 +425,12 @@ def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
     """
     p, n = chans.shape
     caps = [None] * p if caps is None else caps
-    radius = max(radii)
     lo = np.zeros((len(radii), p), dtype=np.int64)
     hi = np.zeros((len(radii), p), dtype=np.int64)
-    t = [_templates(n, d, lag, cap) for d, cap in zip(dims, caps)]
-    # pairs among the first min(t) samples are pairs of every channel's band
-    floors = _band_floors(chans[:, :max(min(t), 0)], radius)
     for c, (d, cap) in enumerate(zip(dims, caps)):
-        band = None
-        if t[c] >= 2 and _band_is_cheaper(n, d, int(floors[c])):
-            band = _sorted_band(chans[c], t[c], radius)
-            if not _band_is_cheaper(n, d, int(band[1].sum())):
-                band = None
-        lo[:, c], hi[:, c] = (_sweep_counts(chans[c], lag, radii, d, cap) if band is None
-                              else _band_counts(chans[c], lag, radii, d, cap, band))
+        chan = _sort_channel(chans[c], lag, radii, d, cap)
+        counter = _band_counts if _band_is_cheaper(n, d, int(chan[2].sum())) else _sweep_counts
+        lo[:, c], hi[:, c] = counter(chans[c], lag, radii, d, cap, chan)
     return lo, hi
 
 
@@ -516,7 +469,8 @@ def _log_ratio(probs):
     """-ln(phi_m1 / phi_m), or None when the point is infeasible or matchless."""
     if probs is None or 0.0 in probs:
         return None
-    return -math.log(probs[1] / probs[0])
+    # 0.0 - x, not -x: an exact zero comes out 0.0, never -0.0
+    return 0.0 - math.log(probs[1] / probs[0])
 
 
 def _zscore(chans: np.ndarray) -> np.ndarray:

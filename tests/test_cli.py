@@ -136,6 +136,19 @@ class TestCompute:
         rf = read_result(out)
         assert rf.rows[1][1] is None
 
+    def test_zero_entropy_cell_is_written_without_a_sign(self, tmp_path, capsys):
+        # a period-3 record has phi_m1 == phi_m under the equal-count
+        # convention, so -ln(1) must be written 0.0, not -0.0
+        rec = tmp_path / "period3.csv"
+        write_record(MultichannelSeries(np.tile([0.0, 1.0, 5.0], 40)), rec)
+        out = tmp_path / "z.csv"
+        code, _, _ = run(capsys, "compute", "--estimator", "sampen", "--tolerance-mode",
+                         "absolute", "--r", "0.1", "--equal-template-count",
+                         "--input", str(rec), "--output", str(out))
+        assert code == 0
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert rows[1].split(",")[:2] == ["1", "0.0"]
+
     def test_per_scale_constant_scale_is_undefined_not_exit_2(self, tmp_path, capsys):
         rec = tmp_path / "alt.csv"
         write_record(MultichannelSeries(np.tile([1.0, -1.0], 100)), rec)

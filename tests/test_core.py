@@ -21,9 +21,14 @@ from vemse import (
     vemse,
 )
 from vemse import estimators
-from vemse.estimators import _band_counts, _band_floors, _band_reach, _pair_counts, _sweep_counts
+from vemse.estimators import _band_counts, _pair_counts, _sort_channel, _sweep_counts
 from vemse.experiments import ModelBundle, realize_bundle
 from oracles import naive_counts, naive_sampen, naive_templates, naive_vemse_point
+
+
+def count_one(counter, y, lag, radii, d, cap=None):
+    """One channel's (lo, hi) from one counter, fed the channel's one sort."""
+    return counter(y, lag, radii, d, cap, _sort_channel(y, lag, radii, d, cap))
 
 
 class TestCoarseGrain:
@@ -112,10 +117,10 @@ class TestPairCounts:
 
     def test_band_window_keeps_a_pair_that_rounds_into_the_radius(self):
         # 0.1 - (-0.3) rounds to exactly 0.4, but -0.3 + 0.4 rounds below
-        # 0.1: a window searched without slack would drop the pair
+        # 0.1: a band taken from the search alone would drop the pair
         x = np.array([-3.0, 1.0]) * 0.1
         assert x[1] - x[0] <= 0.4 and x[0] + 0.4 < x[1]
-        lo, hi = _band_counts(x, 1, [0.4], 1)
+        lo, hi = count_one(_band_counts, x, 1, [0.4], 1)
         assert (lo[0], hi[0]) == (1, 0)
 
     def test_radius_monotonicity(self):
@@ -157,31 +162,32 @@ class TestCounterChoice:
         assert 2.8 < max(radii) < 3.2
         assert self.split(chans, radii, [2, 3])[:2] == ([], [2, 3])
 
-    def test_compute_shape_goes_to_the_sweep_unsorted(self):
+    def test_compute_shape_sorts_each_channel_once(self):
         # 4000 x 4 AR(2) at 0.15 times the trace (r about 0.6 sd): a third
         # of all pairs lie in the band at scale 1, more at coarser scales.
         # Only the lowest dims of the first scales are cheaper in the band;
-        # every other channel goes to the sweep, and from scale 16 on the
-        # band's floor tells so for every channel, so none is sorted
+        # every other channel goes to the sweep. Either way the channel is
+        # sorted once, and its band and ranks both come from that sort
         chans = np.stack([generate_ar(AR2, 4000, seed=(0, 0, c)) for c in range(4)])
         radius = resolve_tolerance(chans, ToleranceRule.trace(0.15))
         banded = {}
         for tau in range(1, 21):
             cg = np.stack([coarse_grain(ch, tau) for ch in chans])
-            with mock.patch.object(estimators, "_sorted_band",
-                                   wraps=estimators._sorted_band) as sort:
+            with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
+                    mock.patch.object(np, "sort", wraps=np.sort) as sort:
                 band, sweep = self.split(cg, [radius], [2, 3, 4, 5])[:2]
             assert sorted(band + sweep) == [2, 3, 4, 5]
             if band:
                 banded[tau] = band
-            if tau >= 16:
-                sort.assert_not_called()
+            assert [call.args[0].size for call in argsort.call_args_list] == [cg.shape[1]] * 4
+            sort.assert_not_called()
         assert banded == {1: [2, 3], 2: [2], 3: [2], 4: [2], 5: [2]}
 
     @pytest.mark.parametrize("kind", ["normal", "offset", "grid", "integers"])
     def test_band_floor_is_below_the_band(self, kind):
-        # samples on bin edges (the 0.1 grid, integers) and a large offset,
-        # where rounding moves samples across bins
+        # the band is exact: its size is the number of close pairs among
+        # the first t samples, on ties (the 0.1 grid, integers) and at a
+        # large offset, where the differences round
         rng = np.random.default_rng(5)
         for _ in range(40):
             n = int(rng.integers(2, 300))
@@ -190,18 +196,22 @@ class TestCounterChoice:
                  "grid": lambda: rng.integers(-20, 20, n) * 0.1,
                  "integers": lambda: rng.integers(-20, 20, n).astype(float)}[kind]()
             for radius in (0.1, 0.25, 0.5, 1.0, 3.0):
-                close = int(np.count_nonzero(np.abs(x[:, None] - x[None, :]) <= radius) - n) // 2
-                band = int(_band_reach(np.sort(x), radius).sum())
-                assert _band_floors(x[None, :], radius)[0] <= close <= band
+                for cap in (None, int(rng.integers(0, n + 1))):
+                    t = n if cap is None else cap
+                    head = x[:t]
+                    close = np.count_nonzero(np.abs(head[:, None] - head[None, :]) <= radius)
+                    order, reach = _sort_channel(x, 1, [radius], 1, cap)[1:]
+                    assert sorted(order.tolist()) == list(range(t))
+                    assert 2 * int(reach.sum()) == close - t
 
     def test_band_floor_leaves_out_pairs_past_the_radius(self):
-        # two clusters of 10 just over the radius apart: only the 90 pairs
-        # inside the clusters may count, wherever the bin edges fall
+        # two clusters of 10 just over the radius apart: the band holds
+        # exactly the 90 pairs inside the clusters
         rng = np.random.default_rng(6)
         for radius in (0.1, 0.3, 1.0):
             for start in rng.uniform(-5, 5, 50):
                 x = np.repeat([start, start + radius * (1 + 1e-9)], 10)
-                assert 0 < _band_floors(x[None, :], radius)[0] <= 90
+                assert int(_sort_channel(x, 1, [radius], 1, None)[2].sum()) == 90
 
     def test_mixed_call_equals_the_sweep(self):
         # a wide channel has a narrow band at this radius, a narrow one a
@@ -211,14 +221,20 @@ class TestCounterChoice:
         radii = [0.5, 0.1, 0.3]
         banded, swept, (lo, hi) = self.split(chans, radii, [1, 2, 3, 4])
         assert (banded, swept) == ([2, 4], [1, 3])
-        want_lo, want_hi = np.stack([_sweep_counts(y, 1, radii, d) for d, y in enumerate(chans, 1)],
-                                    axis=2)
+        want_lo, want_hi = np.stack([count_one(_sweep_counts, y, 1, radii, d)
+                                     for d, y in enumerate(chans, 1)], axis=2)
         assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
 
 class TestSampen:
     def test_constant_sequence_zero(self):
         assert sampen([2.0] * 50, 2, 0.1) == 0.0
+
+    def test_zero_is_positive_zero(self):
+        # -ln(1) is -0.0, which a result file would write as "-0.0"
+        assert math.copysign(1.0, sampen([2.0] * 50, 2, 0.1)) == 1.0
+        assert math.copysign(1.0, sampen(np.tile([1.0, -1.0], 500), 2, 0.1,
+                                         equal_template_count=True)) == 1.0
 
     def test_alternating_near_zero(self):
         x = np.tile([1.0, -1.0], 500)
@@ -248,14 +264,12 @@ class TestSampen:
             sampen(x, m, r_abs, lag)
 
     def test_subnormal_radius_raises_no_warning(self):
-        # radius / _FLOOR_BINS overflows at a subnormal radius: the band
-        # floors must come out zero, not NaN with a RuntimeWarning
+        # a subnormal radius must give exact counts, with no RuntimeWarning
         x = np.random.default_rng(4).standard_normal(300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert sampen(x, 2, 1e-310) is None
             assert sampen(np.zeros(50), 2, 5e-324) == 0.0
-            assert _band_floors(x[None, :], 1e-310).tolist() == [0]
 
     def test_samples_near_the_largest_float_raise_no_warning(self):
         # 1e308 - (-1e308) overflows to inf, which never matches a finite
@@ -267,12 +281,11 @@ class TestSampen:
             got = sampen(x, 2, 1.0)
             curve = vemse(MultichannelSeries(chans), EntropyParams(m=2, scales=[1]),
                           ToleranceRule.absolute(1.0))
-            floors = _band_floors(chans, 1.0)
-            counts = [counter(x, 1, [1.0], 2) for counter in (_sweep_counts, _band_counts)]
+            counts = [count_one(counter, x, 1, [1.0], 2)
+                      for counter in (_sweep_counts, _band_counts)]
         assert got == pytest.approx(naive_sampen(x.tolist(), 2, 1.0), abs=1e-12)
         assert curve.values[0] == pytest.approx(
             naive_vemse_point(chans.tolist(), 2, 1, 1.0), abs=1e-12)
-        assert floors.tolist() == [0, 0]
         for lo, hi in counts:
             for count, dim in ((lo[0], 2), (hi[0], 3)):
                 assert 2 * count == sum(naive_counts(naive_templates(x.tolist(), dim, 1), 1.0))

@@ -18,7 +18,8 @@ from vemse import (
     vemse,
 )
 from vemse import estimators
-from vemse.estimators import _band_counts, _curve_points, _pair_counts, _sweep_counts
+from vemse.estimators import (_band_counts, _curve_points, _pair_counts, _sort_channel,
+                              _sweep_counts)
 from oracles import (
     naive_cdv_pairs,
     naive_coarse_grain,
@@ -200,6 +201,13 @@ def test_undefinedness_monotone_in_dimension():
     assert seen_zero > 0  # the property was actually exercised
 
 
+def counts(y, lag, radii, d, cap):
+    """(band, sweep): one channel's (lo, hi) from each counter, fed the channel's one sort."""
+    chan = _sort_channel(y, lag, radii, d, cap)
+    return (_band_counts(y, lag, radii, d, cap, chan),
+            _sweep_counts(y, lag, radii, d, cap, chan))
+
+
 @settings(max_examples=150, deadline=None)
 @given(grid=st.booleans(), p=st.integers(1, 4), m=st.integers(1, 3), lag=st.integers(1, 3),
        extra=st.integers(-1, 30), equal=st.booleans(), block=st.sampled_from([1, 7, 64, 1 << 15]),
@@ -225,8 +233,11 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
 
     with mock.patch.object(estimators, "_BLOCK_CELLS", block):
         lo, hi = _pair_counts(chans, lag, radii, dims, caps)
-        swept = [_sweep_counts(chans[c], lag, radii, d, caps[c]) for c, d in enumerate(dims)]
-        banded = [_band_counts(chans[c], lag, radii, d, caps[c]) for c, d in enumerate(dims)]
+        sorts = [_sort_channel(chans[c], lag, radii, d, caps[c]) for c, d in enumerate(dims)]
+        swept = [_sweep_counts(chans[c], lag, radii, d, caps[c], sorts[c])
+                 for c, d in enumerate(dims)]
+        banded = [_band_counts(chans[c], lag, radii, d, caps[c], sorts[c])
+                  for c, d in enumerate(dims)]
         points = _curve_points(chans, m, lag, radii, equal)
         singles = [_pair_counts(chans, lag, [radius], dims, caps) for radius in radii]
     assert lo.shape == hi.shape == (len(radii), p)
@@ -283,10 +294,8 @@ def test_band_and_sweep_count_one_channel_alike_at_extreme_magnitudes(d, lag, ex
     cap = n - d * lag if equal else None
 
     with mock.patch.object(estimators, "_BLOCK_CELLS", block):
-        band = _band_counts(y, lag, radii, d, cap)
-        sweep = _sweep_counts(y, lag, radii, d, cap)
-        alone = [(_band_counts(y, lag, [radius], d, cap), _sweep_counts(y, lag, [radius], d, cap))
-                 for radius in radii]
+        band, sweep = counts(y, lag, radii, d, cap)
+        alone = [counts(y, lag, [radius], d, cap) for radius in radii]
     for k, radius in enumerate(radii):
         for count, dim, dim_cap in ((0, d, cap), (1, d + 1, None)):
             matches = sum(naive_counts(naive_templates(y.tolist(), dim, lag)[:dim_cap], radius))
@@ -307,10 +316,9 @@ def test_rank_test_counts_alike_with_uint32_ranks(d, lag, extra, equal, data):
     cap = n - d * lag if equal else None
     with mock.patch.object(estimators, "_rank_dtype", return_value=np.uint32) as dtype:
         for radius in (0.1, 0.2, 0.3):
-            band = _band_counts(y, lag, [radius], d, cap)
-            sweep = _sweep_counts(y, lag, [radius], d, cap)
+            band, sweep = counts(y, lag, [radius], d, cap)
             for count, dim, dim_cap in ((0, d, cap), (1, d + 1, None)):
                 matches = sum(naive_counts(naive_templates(y.tolist(), dim, lag)[:dim_cap],
                                            radius))
                 assert 2 * band[count][0] == 2 * sweep[count][0] == matches
-    assert dtype.call_count == 6  # every count took the uint32 ranks
+    assert dtype.call_count == 3  # each radius's one sort took the uint32 ranks
