@@ -231,7 +231,8 @@ def load_record(path, columns=None, max_rows=None, offset: int = 0) -> Multichan
 
     Ragged rows and bad cells raise RecordParseError with the offending
     row (counted over non-empty data lines) and column; an empty file
-    raises RecordParseError.
+    raises RecordParseError, and so does a "# sample_rate_hz" line whose
+    value is not such a decimal, finite and > 0.
     """
     if offset < 0 or (max_rows is not None and max_rows < 1):
         raise InvalidParameterError(
@@ -260,11 +261,13 @@ def load_record(path, columns=None, max_rows=None, offset: int = 0) -> Multichan
     if data.shape[0] < 1:
         raise RecordParseError("%s: selection leaves no samples" % (path,))
     rate = metadata.get("sample_rate_hz")
-    return MultichannelSeries(
-        channels=data.T.copy(),
-        channel_labels=labels,
-        sample_rate_hz=float(rate) if rate is not None else None,
-    )
+    if rate is not None:
+        if not (_DECIMAL.fullmatch(rate) and 0 < float(rate) < math.inf):
+            raise RecordParseError("%s: sample_rate_hz must be a finite decimal > 0, got %r"
+                                   % (path, rate))
+        rate = float(rate)
+    return MultichannelSeries(channels=data.T.copy(), channel_labels=labels,
+                              sample_rate_hz=rate)
 
 
 # -- converters -------------------------------------------------------------

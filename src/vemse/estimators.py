@@ -6,10 +6,11 @@ with an inclusive boundary, and probability aggregation with self-matches
 excluded. Probabilities are exact ratios of integer pair counts, so
 they equal the naive double loop's.
 
-sampen, mse and vemse count through one entry point, _pair_counts,
-which gives every channel's matching template pairs at m and m+1 for a
-list of radii. Each channel has its own dimension, so each is counted on
-its own, by one of two exact counters:
+sampen is mse at scale 1, and mse is vemse on one channel, so all three
+count through _vemse_curves and its one entry point, _pair_counts, which
+gives every channel's matching template pairs at m and m+1 for a list of
+radii. Each channel has its own dimension, so each is counted on its
+own, by one of two exact counters:
 
 - the diagonal sweep (_sweep_counts) visits every template pair, n^2/2
   whatever the radius: a pair matches at dimension d when its run of
@@ -269,7 +270,7 @@ def _close_blocks(S: np.ndarray, run, k_max: int, span, radii):
         k0 += rows
 
 
-def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, cap, chan):
+def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, equal: bool, chan):
     """_pair_counts for one channel, by a sweep over every diagonal.
 
     Template pair (i, j = i + s) matches at dimension d exactly when
@@ -287,22 +288,22 @@ def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, cap, chan):
     lo = np.zeros(len(radii), dtype=np.int64)
     hi = np.zeros(len(radii), dtype=np.int64)
     S, run = _keys(y, chan[0], np.arange(n)[None, :])
-    capped = cap is not None and cap < n - (d - 1) * lag
-    if capped:
+    if equal:
+        cap = _templates(n, d, lag, True)
         # before_cap[s, i]: whether j = i + s is below the cap
         before_cap = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n) < cap, n)
     match_buf = np.empty(max(_BLOCK_CELLS, n), dtype=bool)
-    # a diagonal s holds a pair at dimension d only if s < n - (d-1)L; an
+    # a diagonal s holds a pair at dimension d only if s < _templates(n, d, lag); an
     # overflowing difference is infinite and matches nothing (_close_blocks)
     with np.errstate(over="ignore"):
-        for k0, k, close in _close_blocks(S, run, n - (d - 1) * lag - 1,
+        for k0, k, close in _close_blocks(S, run, _templates(n, d, lag) - 1,
                                           lambda k0: (0, n - k0), radii):
             close = match = close[0]
             rows, width = close.shape
             for e in range(1, d + 1):
                 if e == d:
                     counted = match
-                    if capped:
+                    if equal:
                         # pair j = i + s counts only if j < cap
                         keep = max(cap - k0, 0)
                         counted = match[:, :keep] & before_cap[k0:k0 + rows, :keep]
@@ -322,13 +323,17 @@ def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, cap, chan):
     return lo, hi
 
 
-def _templates(n: int, d: int, lag: int, cap=None) -> int:
-    """Templates of a length-n channel counted at dimension d, under an optional cap."""
-    t = n - (d - 1) * lag
-    return t if cap is None else min(t, cap)
+def _templates(n: int, d: int, lag: int, equal: bool = False) -> int:
+    """Templates of a length-n channel at dimension d; with equal, as many as at d + 1."""
+    return n - (d - 1 + equal) * lag
 
 
-def _sort_channel(y: np.ndarray, lag: int, radii, d: int, cap):
+def _prob(pairs, t: int) -> float:
+    """The exact match probability of `pairs` unordered pairs among t templates."""
+    return int(2 * pairs) / (t * (t - 1))
+
+
+def _sort_channel(y: np.ndarray, lag: int, radii, d: int, equal: bool):
     """(ranks, order, reach): what either counter needs for one channel, from one sort.
 
     y is argsorted once and each sorted place's run end at max(radii) is
@@ -340,7 +345,7 @@ def _sort_channel(y: np.ndarray, lag: int, radii, d: int, cap):
     order[q] there: the band's pairs are the cells (q, q + k) with
     1 <= k <= reach[q], and reach.sum() is its size.
     """
-    t = _templates(y.size, d, lag, cap)
+    t = _templates(y.size, d, lag, equal)
     order = np.argsort(y)
     end = _run_ends(y[order], max(radii))
     ranks = _rank_runs(order, end) if _ranks_are_cheaper(radii) else None
@@ -351,10 +356,10 @@ def _sort_channel(y: np.ndarray, lag: int, radii, d: int, cap):
     return ranks, order[at], before[end[at]] - before[at + 1]
 
 
-def _band_counts(y: np.ndarray, lag: int, radii, d: int, cap, chan):
+def _band_counts(y: np.ndarray, lag: int, radii, d: int, chan):
     """_pair_counts for one channel, walking the band of its sorted templates.
 
-    chan is _sort_channel's result for the same arguments: the templates
+    chan is _sort_channel's result for the same channel: the templates
     counted at d in sorted order and each one's reach. Element e of the
     template at sorted place q is S[e, q] (_keys), and past the last
     template and past the end of y nothing is close. Every pair within
@@ -404,14 +409,13 @@ def _band_is_cheaper(n: int, d: int, band: int) -> bool:
     return (d + 3) * band < n * n
 
 
-def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
+def _pair_counts(chans: np.ndarray, lag: int, radii, dims, equal: bool = False):
     """Matching template pairs of every channel at dims[c] and dims[c] + 1, per radius.
 
     chans is (P, n) with finite samples; radii is any sequence of radii
-    (unsorted and repeated ones are fine). caps[c], when given, keeps
-    only the first caps[c] templates in the count at dims[c]; it is the
-    equal-template-count convention, so it is never below the template
-    count at dims[c] + 1.
+    (unsorted and repeated ones are fine). With equal, the count at
+    dims[c] keeps only as many templates as the count at dims[c] + 1
+    (_templates).
 
     Each channel is sorted once (_sort_channel), which sizes its band at
     the largest radius exactly, and is counted on its own by one of two
@@ -424,13 +428,14 @@ def _pair_counts(chans: np.ndarray, lag: int, radii, dims, caps=None):
     are never counted.
     """
     p, n = chans.shape
-    caps = [None] * p if caps is None else caps
     lo = np.zeros((len(radii), p), dtype=np.int64)
     hi = np.zeros((len(radii), p), dtype=np.int64)
-    for c, (d, cap) in enumerate(zip(dims, caps)):
-        chan = _sort_channel(chans[c], lag, radii, d, cap)
-        counter = _band_counts if _band_is_cheaper(n, d, int(chan[2].sum())) else _sweep_counts
-        lo[:, c], hi[:, c] = counter(chans[c], lag, radii, d, cap, chan)
+    for c, d in enumerate(dims):
+        chan = _sort_channel(chans[c], lag, radii, d, equal)
+        if _band_is_cheaper(n, d, int(chan[2].sum())):
+            lo[:, c], hi[:, c] = _band_counts(chans[c], lag, radii, d, chan)
+        else:
+            lo[:, c], hi[:, c] = _sweep_counts(chans[c], lag, radii, d, equal, chan)
     return lo, hi
 
 
@@ -448,19 +453,18 @@ def _curve_points(channels: np.ndarray, m: int, lag: int, radii,
     """
     p, n = channels.shape
     dims = list(range(m, m + p))
-    t_hi = [n - d * lag for d in dims]
+    t_lo = [_templates(n, d, lag, equal_template_count) for d in dims]
+    t_hi = [_templates(n, d + 1, lag) for d in dims]
     if t_hi[-1] < 2:
         return [None] * len(radii)
-    t_lo = t_hi if equal_template_count else [n - (d - 1) * lag for d in dims]
-    lo, hi = _pair_counts(channels, lag, radii, dims,
-                          caps=t_hi if equal_template_count else None)
+    lo, hi = _pair_counts(channels, lag, radii, dims, equal_template_count)
     points = []
     for lo_k, hi_k in zip(lo, hi):
         phi_lo = 0.0
         phi_hi = 0.0
         for c in range(p):
-            phi_lo += int(2 * lo_k[c]) / (t_lo[c] * (t_lo[c] - 1))
-            phi_hi += int(2 * hi_k[c]) / (t_hi[c] * (t_hi[c] - 1))
+            phi_lo += _prob(lo_k[c], t_lo[c])
+            phi_hi += _prob(hi_k[c], t_hi[c])
         points.append((phi_lo, phi_hi))
     return points
 
@@ -557,26 +561,21 @@ def vemse(
 
 
 def mse(x, params: EntropyParams, rule: ToleranceRule | None = None, **flags) -> EntropyCurve:
-    """Univariate multiscale sample entropy; the single-channel case of vemse."""
-    return vemse(MultichannelSeries(np.asarray(x, dtype=float)), params, rule, **flags)
+    """Univariate multiscale sample entropy: vemse on one channel, (N,) or (1, N)."""
+    data = MultichannelSeries(np.asarray(x, dtype=float))
+    if data.n_channels != 1:
+        raise InvalidParameterError("mse and sampen take one channel, got %d" % data.n_channels)
+    return vemse(data, params, rule, **flags)
 
 
 def sampen(x, m: int, r_abs: float, lag: int = 1, *, equal_template_count: bool = False):
-    """Single-scale sample entropy with an absolute matching radius.
+    """Single-scale sample entropy with an absolute matching radius: mse at scale 1.
 
     Returns -ln(phi_{m+1}/phi_m) or None when either probability is zero
     or the data is too short for two templates at dimension m+1.
     """
-    m = whole_number(m, "m")
-    lag = whole_number(lag, "lag")
-    if m < 1 or lag < 1:
-        raise InvalidParameterError("m and lag must be >= 1, got %r and %r" % (m, lag))
-    if not r_abs > 0:
-        raise InvalidParameterError("r_abs must be > 0, got %r" % (r_abs,))
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidParameterError("input contains non-finite samples")
-    return _log_ratio(_curve_points(x[None, :], m, lag, [r_abs], equal_template_count)[0])
+    return mse(x, EntropyParams(m=m, r=r_abs, L=lag), ToleranceRule.absolute(r_abs),
+               equal_template_count=equal_template_count).values[0]
 
 
 # Rows of one tile of mmse's pair walk. A listing (a tile with itself or
@@ -601,8 +600,8 @@ def _cdv_probs(channels, dims, lags, radius: float):
     """
     n_t = channels[0].size
     lag = max(lags)
-    t = n_t - max(dims) * lag
-    t_bump = [n_t - max(max(dims), d + 1) * lag for d in dims]
+    t = _templates(n_t, max(dims), lag, True)
+    t_bump = [_templates(n_t, max(max(dims), d + 1), lag, True) for d in dims]
     if min([t] + t_bump) < 2:
         return None
     from scipy.spatial import cKDTree  # only mmse needs it; it is slow to import
@@ -628,8 +627,7 @@ def _cdv_probs(channels, dims, lags, radius: float):
                 inside = j < t_bump[c]
                 bumped[c] += np.count_nonzero(
                     np.abs(extra[i[inside]] - extra[j[inside]]) <= radius)
-    phis = [int(2 * b) / (tb * (tb - 1)) for b, tb in zip(bumped, t_bump)]
-    return int(2 * base) / (t * (t - 1)), math.fsum(phis) / len(dims)
+    return _prob(base, t), math.fsum(map(_prob, bumped, t_bump)) / len(dims)
 
 
 def mmse(
@@ -670,6 +668,9 @@ def mmse(
     if len(lags) != p or any(l < 1 for l in lags):
         raise InvalidParameterError("lags must list a positive lag per channel")
     scales = [whole_number(s, "scale") for s in scales]
+    for tau in scales:
+        if tau < 1 or tau > data.n_samples:
+            raise InvalidParameterError("scale %r out of range" % (tau,))
     if rule is None:
         rule = ToleranceRule.trace(0.15)
 
@@ -679,8 +680,6 @@ def mmse(
     values: list[float | None] = []
     probs: list[tuple[float, float] | None] = []
     for tau in scales:
-        if tau < 1 or tau > data.n_samples:
-            raise InvalidParameterError("scale %r out of range" % (tau,))
         pr = _cdv_probs([coarse_grain(ch, tau) for ch in chans], dims, lags, radius)
         values.append(_log_ratio(pr))
         probs.append(pr)

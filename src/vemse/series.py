@@ -1,6 +1,7 @@
 """Shared domain types: multichannel records, estimator parameters, curves."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,14 @@ def whole_number(value, name: str) -> int:
     if not whole:
         raise InvalidParameterError("%s must be a whole number, got %r" % (name, value))
     return int(value)
+
+
+def _check_tolerance(value, name: str) -> None:
+    """Raise InvalidParameterError unless the tolerance value is > 0 and finite."""
+    if not value > 0:
+        raise InvalidParameterError("%s must be > 0, got %r" % (name, value))
+    if not math.isfinite(value):
+        raise InvalidParameterError("%s must be finite, got %r" % (name, value))
 
 
 @dataclass
@@ -103,8 +112,7 @@ class EntropyParams:
             raise InvalidParameterError("m must be >= 1, got %r" % (self.m,))
         if self.L < 1:
             raise InvalidParameterError("L must be >= 1, got %r" % (self.L,))
-        if not self.r > 0:
-            raise InvalidParameterError("r must be > 0, got %r" % (self.r,))
+        _check_tolerance(self.r, "r")
         scales = [whole_number(s, "scale") for s in self.scales]
         if not scales:
             raise InvalidParameterError("scales must be non-empty")
@@ -133,8 +141,7 @@ class ToleranceRule:
     def __post_init__(self):
         if self.mode not in ("covariance_trace", "absolute"):
             raise InvalidParameterError("unknown tolerance mode %r" % (self.mode,))
-        if not self.value > 0:
-            raise InvalidParameterError("tolerance value must be > 0, got %r" % (self.value,))
+        _check_tolerance(self.value, "tolerance value")
 
     @classmethod
     def trace(cls, quotient: float) -> "ToleranceRule":

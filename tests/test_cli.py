@@ -321,6 +321,24 @@ class TestGenerate:
 
 
 class TestSurrogate:
+    @pytest.mark.parametrize("rate", ["abc", "0x10", "nan", "inf", "1e400", "1_000", "-5", "0",
+                                      ""])
+    def test_bad_sample_rate_exits_3(self, tmp_path, capsys, rate):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# sample_rate_hz = %s\na,b\n1,2\n3,4\n" % (rate,))
+        out = tmp_path / "s.csv"
+        code, _, stderr = run(capsys, "surrogate", "--input", str(bad), "--output", str(out))
+        assert code == 3
+        assert "sample_rate_hz must be a finite decimal > 0, got %r" % (rate,) in stderr
+        assert "Traceback" not in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["2", "2.5", ".5e3"])
+    def test_decimal_sample_rate_is_read(self, tmp_path, capsys, rate):
+        rec = tmp_path / "rec.csv"
+        rec.write_text("# sample_rate_hz = %s\na,b\n1,2\n3,4\n" % (rate,))
+        assert load_record(rec).sample_rate_hz == float(rate)
+
     def test_preserves_multiset(self, record, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code, _, _ = run(capsys, "surrogate", "--input", str(record),
@@ -358,8 +376,9 @@ class TestSweepAndBench:
 
     @pytest.mark.parametrize("vary,values,message", [
         ("r", "0,0.1", "r must be > 0, got 0.0"),
+        ("r", "0.2,1e400", "r must be finite, got inf"),
         ("m", "0,1", "m must be >= 1, got 0"),
-    ], ids=["r", "m"])
+    ], ids=["r", "r-inf", "m"])
     def test_bad_swept_value_exits_2_with_its_message(self, tmp_path, capsys, vary, values,
                                                       message):
         out = tmp_path / "sweep.csv"

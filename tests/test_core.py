@@ -16,6 +16,7 @@ from vemse import (
     coarse_grain,
     generate_ar,
     mmse,
+    mse,
     resolve_tolerance,
     sampen,
     vemse,
@@ -26,9 +27,12 @@ from vemse.experiments import ModelBundle, realize_bundle
 from oracles import naive_counts, naive_sampen, naive_templates, naive_vemse_point
 
 
-def count_one(counter, y, lag, radii, d, cap=None):
+def count_one(counter, y, lag, radii, d):
     """One channel's (lo, hi) from one counter, fed the channel's one sort."""
-    return counter(y, lag, radii, d, cap, _sort_channel(y, lag, radii, d, cap))
+    chan = _sort_channel(y, lag, radii, d, False)
+    if counter is _band_counts:
+        return counter(y, lag, radii, d, chan)
+    return counter(y, lag, radii, d, False, chan)
 
 
 class TestCoarseGrain:
@@ -184,10 +188,11 @@ class TestCounterChoice:
         assert banded == {1: [2, 3], 2: [2], 3: [2], 4: [2], 5: [2]}
 
     @pytest.mark.parametrize("kind", ["normal", "offset", "grid", "integers"])
-    def test_band_floor_is_below_the_band(self, kind):
+    def test_band_is_the_close_pairs_of_the_templates(self, kind):
         # the band is exact: its size is the number of close pairs among
         # the first t samples, on ties (the 0.1 grid, integers) and at a
-        # large offset, where the differences round
+        # large offset, where the differences round; the drawn dimension,
+        # lag and equal-count flag put t anywhere from 0 to n
         rng = np.random.default_rng(5)
         for _ in range(40):
             n = int(rng.integers(2, 300))
@@ -196,22 +201,24 @@ class TestCounterChoice:
                  "grid": lambda: rng.integers(-20, 20, n) * 0.1,
                  "integers": lambda: rng.integers(-20, 20, n).astype(float)}[kind]()
             for radius in (0.1, 0.25, 0.5, 1.0, 3.0):
-                for cap in (None, int(rng.integers(0, n + 1))):
-                    t = n if cap is None else cap
+                for d, lag, equal in ((1, 1, False), (int(rng.integers(1, 6)),
+                                                      int(rng.integers(1, n // 5 + 2)),
+                                                      bool(rng.integers(0, 2)))):
+                    t = max(n - (d - 1 + equal) * lag, 0)
                     head = x[:t]
                     close = np.count_nonzero(np.abs(head[:, None] - head[None, :]) <= radius)
-                    order, reach = _sort_channel(x, 1, [radius], 1, cap)[1:]
+                    order, reach = _sort_channel(x, lag, [radius], d, equal)[1:]
                     assert sorted(order.tolist()) == list(range(t))
                     assert 2 * int(reach.sum()) == close - t
 
-    def test_band_floor_leaves_out_pairs_past_the_radius(self):
+    def test_band_leaves_out_pairs_past_the_radius(self):
         # two clusters of 10 just over the radius apart: the band holds
         # exactly the 90 pairs inside the clusters
         rng = np.random.default_rng(6)
         for radius in (0.1, 0.3, 1.0):
             for start in rng.uniform(-5, 5, 50):
                 x = np.repeat([start, start + radius * (1 + 1e-9)], 10)
-                assert int(_sort_channel(x, 1, [radius], 1, None)[2].sum()) == 90
+                assert int(_sort_channel(x, 1, [radius], 1, False)[2].sum()) == 90
 
     def test_mixed_call_equals_the_sweep(self):
         # a wide channel has a narrow band at this radius, a narrow one a
@@ -263,6 +270,21 @@ class TestSampen:
         with pytest.raises(InvalidParameterError):
             sampen(x, m, r_abs, lag)
 
+    @pytest.mark.parametrize("x", [np.zeros((2, 150)), np.float64(1.0), np.array([])],
+                             ids=["two-channels", "0-d", "empty"])
+    def test_one_nonempty_channel_required(self, x):
+        # two channels used to reach vemse through mse, or fail inside
+        # numpy through sampen; an empty sampen input used to give None
+        with pytest.raises(InvalidParameterError):
+            sampen(x, 2, 0.2)
+        with pytest.raises(InvalidParameterError):
+            mse(x, EntropyParams(m=2, r=0.2))
+
+    def test_one_channel_row_accepted(self):
+        x = np.random.default_rng(3).standard_normal(150)
+        assert sampen(x[None, :], 2, 0.2) == sampen(x, 2, 0.2)
+        assert mse(x[None, :], EntropyParams()).values == mse(x, EntropyParams()).values
+
     def test_subnormal_radius_raises_no_warning(self):
         # a subnormal radius must give exact counts, with no RuntimeWarning
         x = np.random.default_rng(4).standard_normal(300)
@@ -303,6 +325,16 @@ class TestSeriesTypes:
     ], ids=["params", "rule", "absolute-rule"])
     def test_nan_tolerance_rejected(self, make):
         with pytest.raises(InvalidParameterError, match="nan"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: EntropyParams(r=float("inf")),
+        lambda: ToleranceRule.trace(1e400),
+        lambda: ToleranceRule.absolute(float("inf")),
+        lambda: sampen(np.arange(40.0), 2, float("inf")),
+    ], ids=["params", "rule", "absolute-rule", "sampen"])
+    def test_infinite_tolerance_rejected(self, make):
+        with pytest.raises(InvalidParameterError, match="must be finite, got inf"):
             make()
 
     @pytest.mark.parametrize("make", [

@@ -5,6 +5,7 @@ import pytest
 from vemse import (
     DegenerateToleranceError,
     EntropyParams,
+    InvalidParameterError,
     MultichannelSeries,
     ToleranceRule,
     generate_ar,
@@ -16,6 +17,7 @@ from vemse import (
     vemse,
     AR3,
 )
+from vemse import estimators
 from oracles import naive_mmse_probs
 
 
@@ -152,6 +154,14 @@ class TestMmse:
         data = MultichannelSeries(np.ones((2, 80)))
         with pytest.raises(DegenerateToleranceError):
             mmse(data, [2, 2], ToleranceRule.trace(0.15), scales=[1])
+
+    def test_every_scale_checked_before_any_count(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimators, "_cdv_probs", lambda *args: calls.append(args))
+        data = MultichannelSeries(np.random.default_rng(0).standard_normal((2, 40)))
+        with pytest.raises(InvalidParameterError, match="scale 41 out of range"):
+            mmse(data, [2, 2], scales=range(1, 42))
+        assert calls == []
 
     def test_single_channel_close_to_sampen_on_normalized_data(self):
         # the composite-vector template count differs from the univariate

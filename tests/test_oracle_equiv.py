@@ -201,11 +201,11 @@ def test_undefinedness_monotone_in_dimension():
     assert seen_zero > 0  # the property was actually exercised
 
 
-def counts(y, lag, radii, d, cap):
+def counts(y, lag, radii, d, equal):
     """(band, sweep): one channel's (lo, hi) from each counter, fed the channel's one sort."""
-    chan = _sort_channel(y, lag, radii, d, cap)
-    return (_band_counts(y, lag, radii, d, cap, chan),
-            _sweep_counts(y, lag, radii, d, cap, chan))
+    chan = _sort_channel(y, lag, radii, d, equal)
+    return (_band_counts(y, lag, radii, d, chan),
+            _sweep_counts(y, lag, radii, d, equal, chan))
 
 
 @settings(max_examples=150, deadline=None)
@@ -232,14 +232,13 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
     caps = [n - d * lag for d in dims] if equal else [None] * p
 
     with mock.patch.object(estimators, "_BLOCK_CELLS", block):
-        lo, hi = _pair_counts(chans, lag, radii, dims, caps)
-        sorts = [_sort_channel(chans[c], lag, radii, d, caps[c]) for c, d in enumerate(dims)]
-        swept = [_sweep_counts(chans[c], lag, radii, d, caps[c], sorts[c])
+        lo, hi = _pair_counts(chans, lag, radii, dims, equal)
+        sorts = [_sort_channel(chans[c], lag, radii, d, equal) for c, d in enumerate(dims)]
+        swept = [_sweep_counts(chans[c], lag, radii, d, equal, sorts[c])
                  for c, d in enumerate(dims)]
-        banded = [_band_counts(chans[c], lag, radii, d, caps[c], sorts[c])
-                  for c, d in enumerate(dims)]
+        banded = [_band_counts(chans[c], lag, radii, d, sorts[c]) for c, d in enumerate(dims)]
         points = _curve_points(chans, m, lag, radii, equal)
-        singles = [_pair_counts(chans, lag, [radius], dims, caps) for radius in radii]
+        singles = [_pair_counts(chans, lag, [radius], dims, equal) for radius in radii]
     assert lo.shape == hi.shape == (len(radii), p)
     assert all(b.shape == (len(radii),) for counts in swept + banded for b in counts)
     assert len(points) == len(radii)
@@ -294,8 +293,8 @@ def test_band_and_sweep_count_one_channel_alike_at_extreme_magnitudes(d, lag, ex
     cap = n - d * lag if equal else None
 
     with mock.patch.object(estimators, "_BLOCK_CELLS", block):
-        band, sweep = counts(y, lag, radii, d, cap)
-        alone = [counts(y, lag, [radius], d, cap) for radius in radii]
+        band, sweep = counts(y, lag, radii, d, equal)
+        alone = [counts(y, lag, [radius], d, equal) for radius in radii]
     for k, radius in enumerate(radii):
         for count, dim, dim_cap in ((0, d, cap), (1, d + 1, None)):
             matches = sum(naive_counts(naive_templates(y.tolist(), dim, lag)[:dim_cap], radius))
@@ -316,7 +315,7 @@ def test_rank_test_counts_alike_with_uint32_ranks(d, lag, extra, equal, data):
     cap = n - d * lag if equal else None
     with mock.patch.object(estimators, "_rank_dtype", return_value=np.uint32) as dtype:
         for radius in (0.1, 0.2, 0.3):
-            band, sweep = counts(y, lag, [radius], d, cap)
+            band, sweep = counts(y, lag, [radius], d, equal)
             for count, dim, dim_cap in ((0, d, cap), (1, d + 1, None)):
                 matches = sum(naive_counts(naive_templates(y.tolist(), dim, lag)[:dim_cap],
                                            radius))

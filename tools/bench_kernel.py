@@ -32,8 +32,11 @@ odd rounds, so the machine's drift falls on both sides. A case's time is
 the least of its in-process repeats, and its memory the peak resident
 set (ru_maxrss) of the process that ran it; the report keeps every
 round's time and peak, their medians and the machine facts, and the
-counts or probabilities the two sides give must agree. This is not the
-gated benchmark under benchmarks/ and gates nothing.
+counts or probabilities the two sides give must agree. With --base it
+also keeps the median of the per-round change/base time ratios: machine
+load moves whole rounds, and both sides of a round share it, so that
+ratio resolves changes of a few percent that the two medians do not.
+This is not the gated benchmark under benchmarks/ and gates nothing.
 """
 from __future__ import annotations
 
@@ -164,13 +167,17 @@ def main(argv=None):
                 counts[side] = got["counts"]
         if len({json.dumps(c) for c in counts.values()}) != 1:
             raise SystemExit("%s: the two checkouts count differently" % name)
-        report["cases"][name] = {
+        case = report["cases"][name] = {
             side: {"median_s": statistics.median(runs[side]), "runs_s": runs[side],
                    "median_rss_mib": statistics.median(rss[side]), "runs_rss_mib": rss[side]}
             for side in sides}
-        print(name, " ".join("%s %.4f s %.1f MiB" % (side, statistics.median(runs[side]),
-                                                     statistics.median(rss[side]))
-                             for side in sides), flush=True)
+        line = " ".join("%s %.4f s %.1f MiB" % (side, case[side]["median_s"],
+                                                case[side]["median_rss_mib"]) for side in sides)
+        if "base" in sides:
+            case["median_ratio"] = statistics.median(
+                c / b for c, b in zip(runs["change"], runs["base"]))
+            line += " change/base %.3f" % case["median_ratio"]
+        print(name, line, flush=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
