@@ -134,7 +134,7 @@ class _Opt(NamedTuple):
     low: float | None = None
 
 
-_ESTIMATOR = _Opt("estimator", str, "vemse", choices=("sampen", "mse", "mmse", "vemse"))
+_ESTIMATOR = _Opt("estimator", str, "vemse", choices=experiments.ESTIMATORS)
 _M = _Opt("m", int, 2, "base embedding dimension", low=1)
 _R = _Opt("r", float, 0.15, "tolerance quotient (or absolute radius with "
           "--tolerance-mode absolute)", low=0)
@@ -153,15 +153,14 @@ _OPTIONS = {
     "compute": (_ESTIMATOR,) + _RECORD + (
         _M, _R, _L,
         _Opt("scales", _spec, "1", "scale list, e.g. 1..20"),
-        _Opt("tolerance_mode", str, "covariance_trace",
-             choices=("covariance_trace", "absolute")),
+        _Opt("tolerance_mode", str, "covariance_trace", choices=ToleranceRule.MODES),
         _Opt("normalize", bool, False),
         _Opt("per_scale_tolerance", bool, False),
         _Opt("equal_template_count", bool, False),
     ),
     "sweep": (
         _ESTIMATOR,
-        _Opt("vary", str, choices=("m", "N", "r", "scale")),
+        _Opt("vary", str, choices=experiments.SWEPT_PARAMETERS),
         _Opt("values", _spec),
         _Opt("models", _spec, "wgn,flicker,ar1,ar2,ar3", choices=experiments.MODEL_KINDS),
         _Opt("channels", int, 2, low=1),
@@ -180,7 +179,7 @@ _OPTIONS = {
     ),
     "surrogate": _RECORD + (_SEED,),
     "bench": (
-        _Opt("vary", str, choices=("scale", "N", "channels", "m")),
+        _Opt("vary", str, choices=experiments.TIMED_PARAMETERS),
         _Opt("values", _spec),
         _Opt("n", int, 5000, low=1),
         _Opt("channels", int, 2, low=1),

@@ -126,10 +126,11 @@ def write_result(result: ResultFile, path) -> None:
 def _read_table(path, max_lines=None):
     """Metadata, header labels and the non-empty data lines of a result file.
 
-    Reading stops after max_lines data lines when it is given.
+    A UTF-8 byte order mark at the start is dropped. Reading stops after
+    max_lines data lines when it is given.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = (line.rstrip("\n") for line in fh)
             metadata = {}
             header = next(lines, "")
@@ -232,7 +233,8 @@ def load_record(path, columns=None, max_rows=None, offset: int = 0) -> Multichan
     Ragged rows and bad cells raise RecordParseError with the offending
     row (counted over non-empty data lines) and column; an empty file
     raises RecordParseError, and so does a "# sample_rate_hz" line whose
-    value is not such a decimal, finite and > 0.
+    value is not such a decimal, finite and > 0, and a label in columns
+    naming no column or several. A leading UTF-8 byte order mark is dropped.
     """
     if offset < 0 or (max_rows is not None and max_rows < 1):
         raise InvalidParameterError(
@@ -248,8 +250,9 @@ def load_record(path, columns=None, max_rows=None, offset: int = 0) -> Multichan
         sel = []
         for col in columns:
             if isinstance(col, str):
-                if col not in labels:
-                    raise RecordParseError("%s: no column named %r" % (path, col))
+                if labels.count(col) != 1:
+                    raise RecordParseError("%s: %s column named %r" % (
+                        path, "no" if col not in labels else "more than one", col))
                 sel.append(labels.index(col))
             else:
                 if not 0 <= col < p:

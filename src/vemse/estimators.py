@@ -1,10 +1,11 @@
 """Entropy estimators: sample entropy, MSE, variational-embedding MSE, MMSE.
 
-All estimators share the same machinery: non-overlapping coarse graining,
-delay embedding, template matching under the Chebyshev (max-abs) distance
-with an inclusive boundary, and probability aggregation with self-matches
-excluded. Probabilities are exact ratios of integer pair counts, so
-they equal the naive double loop's.
+All four estimators run one per-scale loop (_curves), so they refuse
+the same scales alike: non-overlapping coarse graining, one matching
+radius per tolerance rule, a counter and the log ratio. Each counter
+matches delay-embedded templates under the Chebyshev (max-abs) distance
+with an inclusive boundary, self-matches excluded, so probabilities are
+exact ratios of integer pair counts, equal to the naive double loop's.
 
 sampen is mse at scale 1, and mse is vemse on one channel, so all three
 count through _vemse_curves and its one entry point, _pair_counts, which
@@ -37,13 +38,13 @@ sample pairs are close, by one of two exact tests (_ranks_are_cheaper):
   radii are counted in one pass per scale.
 
 mmse counts composite delay vectors with one k-d tree pair walk per
-scale (_cdv_probs): trees over fixed tiles of templates list each pair
-within the radius at the base dims once, and each of the P bumped
-passes checks its one extra coordinate on those pairs. mmse stays off
-the two counters above, where its channels would share one match mask
-and could overtake vemse, against the acceptance timing criterion
+scale and radius (_cdv_probs): trees over fixed tiles of templates list
+each pair within the radius at the base dims once, and each of the P
+bumped passes checks its one extra coordinate on those pairs. mmse stays
+off the two counters above, where its channels would share one match
+mask and could overtake vemse, against the acceptance timing criterion
 (vemse no slower than mmse); on that criterion's input vemse runs about
-6.2 times as fast as mmse at two channels and 5.0 times at four
+6.8 times as fast as mmse at two channels and 4.3 times at four
 (BENCH_kernel.json).
 
 Undefined estimates (no matches at dimension m or m+1, or too few
@@ -94,9 +95,9 @@ def resolve_tolerance(data, rule: ToleranceRule) -> float:
 
     In covariance_trace mode the radius is quotient * tr(S), where S is
     the P x P sample covariance matrix (ddof=1) of the channels. Constant
-    data makes the trace zero, and samples so large that the variance
-    overflows (about 1e154 and up) make it infinite; either raises
-    DegenerateToleranceError.
+    data makes the trace zero, samples so large that the variance
+    overflows (about 1e154 and up) make it infinite, and so does a large
+    enough quotient to the radius; each raises DegenerateToleranceError.
     """
     if rule.mode == "absolute":
         return float(rule.value)
@@ -111,6 +112,9 @@ def resolve_tolerance(data, rule: ToleranceRule) -> float:
         raise DegenerateToleranceError("covariance trace overflows (samples too large)")
     if trace <= 0.0:
         raise DegenerateToleranceError("covariance trace is zero (constant input)")
+    if not math.isfinite(rule.value * trace):
+        raise DegenerateToleranceError("radius overflows: quotient %r times covariance trace %r"
+                                       % (rule.value, trace))
     return rule.value * trace
 
 
@@ -460,8 +464,7 @@ def _curve_points(channels: np.ndarray, m: int, lag: int, radii,
     lo, hi = _pair_counts(channels, lag, radii, dims, equal_template_count)
     points = []
     for lo_k, hi_k in zip(lo, hi):
-        phi_lo = 0.0
-        phi_hi = 0.0
+        phi_lo = phi_hi = 0.0
         for c in range(p):
             phi_lo += _prob(lo_k[c], t_lo[c])
             phi_hi += _prob(hi_k[c], t_hi[c])
@@ -488,36 +491,43 @@ def _zscore(chans: np.ndarray) -> np.ndarray:
     return (chans - mean) / sd
 
 
-def _vemse_curves(data: MultichannelSeries, params: EntropyParams, rules, *,
-                  normalize: bool = False, per_scale_tolerance: bool = False,
-                  equal_template_count: bool = False) -> list[EntropyCurve]:
-    """vemse under each tolerance rule in rules, one curve per rule.
+def _curves(data: MultichannelSeries, params: EntropyParams, rules, points, *,
+            normalize: bool, per_scale_tolerance: bool) -> list[EntropyCurve]:
+    """The per-scale loop of every estimator: one curve per tolerance rule.
 
-    Every rule is counted in the same pair-count pass per scale, and
-    curve k equals vemse under rules[k]. params.r is not read. With per_scale_tolerance the rules must share one mode: a
-    scale whose channels are all constant then leaves every point None.
+    points(cg, radii) counts the coarse-grained (P, n) channels cg once
+    and returns one (phi_m, phi_m1) or None per radius; params.r is not
+    read. With per_scale_tolerance, a scale where a rule has no radius
+    leaves every rule's point None, so per-scale callers pass one rule.
     """
     params.check_feasible(data.n_samples)
     chans = _zscore(data.channels) if normalize else data.channels
     radii = None if per_scale_tolerance else [resolve_tolerance(chans, rule) for rule in rules]
-
-    values = [[] for _ in rules]
-    probs = [[] for _ in rules]
+    values, probs = [[] for _ in rules], [[] for _ in rules]
     for tau in params.scales:
         cg = np.stack([coarse_grain(ch, tau) for ch in chans])
         try:
             r_abs = ([resolve_tolerance(cg, rule) for rule in rules]
                      if per_scale_tolerance else radii)
         except DegenerateToleranceError:
-            points = [None] * len(rules)  # constant at this scale: undefined
+            found = [None] * len(rules)  # no radius at this scale: undefined
         else:
-            points = _curve_points(cg, params.m, params.L, r_abs, equal_template_count)
-        for k, pr in enumerate(points):
+            found = points(cg, r_abs)
+        for k, pr in enumerate(found):
             values[k].append(_log_ratio(pr))
             probs[k].append(pr)
     return [EntropyCurve(scales=list(params.scales), values=values[k], probs=probs[k],
                          radius=None if radii is None else radii[k])
             for k in range(len(rules))]
+
+
+def _vemse_curves(data: MultichannelSeries, params: EntropyParams, rules, *, normalize=False,
+                  per_scale_tolerance=False, equal_template_count=False) -> list[EntropyCurve]:
+    """vemse under each tolerance rule in rules: curve k equals vemse under rules[k]."""
+    return _curves(data, params, rules,
+                   lambda cg, radii: _curve_points(cg, params.m, params.L, radii,
+                                                   equal_template_count),
+                   normalize=normalize, per_scale_tolerance=per_scale_tolerance)
 
 
 def vemse(
@@ -540,19 +550,17 @@ def vemse(
 
     The matching radius is resolved once from the uncoarsened record
     (default) or per scale from the coarse-grained channels when
-    per_scale_tolerance is set; a scale whose coarse-grained channels are
-    all constant then has no radius and its point is None. Channels are
-    used raw by default;
-    normalize applies a per-channel z-score first. equal_template_count
-    restricts the first pass to as many templates as the second, the
-    classic sample-entropy convention; off by default, which follows the
-    literal two-pass counting.
+    per_scale_tolerance is set; a scale with no radius there (all its
+    coarse-grained channels constant, or an overflow) has its point None.
+    Channels are used raw by default; normalize applies a per-channel
+    z-score first. equal_template_count restricts the first pass to as
+    many templates as the second, the classic sample-entropy convention;
+    off by default, which follows the literal two-pass counting.
 
     Returns an EntropyCurve with the probability sums and, unless it was
     resolved per scale, the radius attached.
     """
-    if not isinstance(data, MultichannelSeries):
-        data = MultichannelSeries(data)
+    data = data if isinstance(data, MultichannelSeries) else MultichannelSeries(data)
     if rule is None:
         rule = ToleranceRule.trace(params.r)
     return _vemse_curves(data, params, [rule], normalize=normalize,
@@ -645,7 +653,8 @@ def mmse(
     The second pass increments one channel's dimension at a time (P ways)
     and averages the resulting probabilities before the log ratio. A
     point is None when any of the P + 1 passes has fewer than two
-    templates; that is decided before any counting.
+    templates; that is decided before any counting. Scales are refused
+    as in vemse, by the same per-scale loop (_curves).
 
     Each scale makes one pair walk: k-d trees (scipy, imported on first
     use), one per tile of _TILE templates, list each template pair
@@ -658,8 +667,7 @@ def mmse(
     dims : sequence of int, per-channel embedding dimensions M.
     lags : sequence of int, per-channel time lags; default all ones.
     """
-    if not isinstance(data, MultichannelSeries):
-        data = MultichannelSeries(data)
+    data = data if isinstance(data, MultichannelSeries) else MultichannelSeries(data)
     p = data.n_channels
     dims = [whole_number(d, "dim") for d in dims]
     if len(dims) != p or any(d < 1 for d in dims):
@@ -667,20 +675,6 @@ def mmse(
     lags = [1] * p if lags is None else [whole_number(l, "lag") for l in lags]
     if len(lags) != p or any(l < 1 for l in lags):
         raise InvalidParameterError("lags must list a positive lag per channel")
-    scales = [whole_number(s, "scale") for s in scales]
-    for tau in scales:
-        if tau < 1 or tau > data.n_samples:
-            raise InvalidParameterError("scale %r out of range" % (tau,))
-    if rule is None:
-        rule = ToleranceRule.trace(0.15)
-
-    chans = _zscore(data.channels)
-    radius = resolve_tolerance(chans, rule)
-
-    values: list[float | None] = []
-    probs: list[tuple[float, float] | None] = []
-    for tau in scales:
-        pr = _cdv_probs([coarse_grain(ch, tau) for ch in chans], dims, lags, radius)
-        values.append(_log_ratio(pr))
-        probs.append(pr)
-    return EntropyCurve(scales=scales, values=values, probs=probs, radius=radius)
+    return _curves(data, EntropyParams(scales=scales), [rule or ToleranceRule.trace(0.15)],
+                   lambda cg, radii: [_cdv_probs(cg, dims, lags, r) for r in radii],
+                   normalize=True, per_scale_tolerance=False)[0]

@@ -50,11 +50,14 @@ __all__ = [
     "noise_robustness_study",
     "directionality_study",
     "timing_benchmark",
-    "MODEL_KINDS",
+    "MODEL_KINDS", "ESTIMATORS", "SWEPT_PARAMETERS", "TIMED_PARAMETERS",
 ]
 
 _AR_MODELS = {"ar1": AR1, "ar2": AR2, "ar3": AR3}
 MODEL_KINDS = ("wgn", "flicker", "flicker+wgn") + tuple(_AR_MODELS)
+ESTIMATORS = ("sampen", "mse", "mmse", "vemse")
+SWEPT_PARAMETERS = ("m", "N", "r", "scale")  # what a SweepSpec varies
+TIMED_PARAMETERS = ("scale", "N", "channels", "m")  # what timing_benchmark varies
 
 _NOISE_STREAM_OFFSET = 64
 
@@ -125,9 +128,9 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.estimator not in ("sampen", "mse", "mmse", "vemse"):
+        if self.estimator not in ESTIMATORS:
             raise InvalidParameterError("unknown estimator %r" % (self.estimator,))
-        if self.swept_parameter not in ("m", "N", "r", "scale"):
+        if self.swept_parameter not in SWEPT_PARAMETERS:
             raise InvalidParameterError("unknown swept parameter %r" % (self.swept_parameter,))
         if not self.sweep_values:
             raise InvalidParameterError("sweep_values must be non-empty")
@@ -193,19 +196,17 @@ def _ensemble(rows, values, realizations) -> EnsembleResult:
                           realizations=realizations)
 
 
-def _estimate_curves(estimator, channels, m, rs, lag, scales, rules=None, **flags):
+def _estimate_curves(estimator, channels, m, rules, lag, scales, **flags):
     """The one map from an estimator name to its call, on (P, N) channels.
 
-    Returns one curve per tolerance quotient in rs, under rules[k] when
-    rules are given and the covariance trace times rs[k] otherwise.
+    Returns one curve per ToleranceRule in rules, curve k under rules[k].
     sampen, mse and vemse count every rule in one pair-count pass per
     scale; mmse makes one call per rule. sampen and mse use the first
     channel only. mmse embeds every channel at dimension m and lag `lag`,
     and refuses the flags only vemse reads (normalize, which mmse always
     does, per_scale_tolerance and equal_template_count).
     """
-    params = EntropyParams(m=m, r=rs[0], L=lag, scales=list(scales))
-    rules = rules or [ToleranceRule.trace(r) for r in rs]
+    params = EntropyParams(m=m, L=lag, scales=list(scales))
     if estimator == "mmse":
         for key in ("normalize", "per_scale_tolerance", "equal_template_count"):
             if flags.get(key):
@@ -222,9 +223,9 @@ def _estimate_curves(estimator, channels, m, rs, lag, scales, rules=None, **flag
 
 
 def _estimate_curve(estimator, channels, m, r, lag, scales, rule=None, **flags):
-    """The curve of _estimate_curves at the one quotient r, under rule when given."""
-    return _estimate_curves(estimator, channels, m, [r], lag, scales,
-                            None if rule is None else [rule], **flags)[0]
+    """The curve of _estimate_curves under rule, or the covariance trace times r."""
+    return _estimate_curves(estimator, channels, m, [rule or ToleranceRule.trace(r)], lag,
+                            scales, **flags)[0]
 
 
 def _realization(spec: SweepSpec, bundle: ModelBundle, k: int) -> list:
@@ -241,8 +242,8 @@ def _realization(spec: SweepSpec, bundle: ModelBundle, k: int) -> list:
         return _estimate_curve(spec.estimator, chans, spec.m, spec.r, spec.lag,
                                spec.sweep_values).values
     if vary == "r":
-        curves = _estimate_curves(spec.estimator, chans, spec.m,
-                                  [float(v) for v in spec.sweep_values], spec.lag, [spec.tau])
+        rules = [ToleranceRule.trace(float(v)) for v in spec.sweep_values]
+        curves = _estimate_curves(spec.estimator, chans, spec.m, rules, spec.lag, [spec.tau])
         return [curve.values[0] for curve in curves]
     points = []
     for v in spec.sweep_values:
@@ -377,8 +378,8 @@ def timing_benchmark(
     One warm-up run per point is excluded; the mean and median of the
     timed runs are both reported. Runs are strictly sequential.
     """
-    if vary not in ("scale", "N", "channels", "m"):
-        raise InvalidParameterError("vary must be one of scale, N, channels, m")
+    if vary not in TIMED_PARAMETERS:
+        raise InvalidParameterError("vary must be one of %s" % ", ".join(TIMED_PARAMETERS))
     values = list(values)
     if any(v % 1 != 0 for v in values):
         raise InvalidParameterError("%s values must be whole numbers" % (vary,))

@@ -135,11 +135,12 @@ class ToleranceRule:
     as-is.
     """
 
+    MODES = ("covariance_trace", "absolute")  # not a field: no annotation
     mode: str = "covariance_trace"
     value: float = 0.15
 
     def __post_init__(self):
-        if self.mode not in ("covariance_trace", "absolute"):
+        if self.mode not in self.MODES:
             raise InvalidParameterError("unknown tolerance mode %r" % (self.mode,))
         _check_tolerance(self.value, "tolerance value")
 

@@ -675,3 +675,46 @@ class TestConfigEdges:
         assert code == 3
         assert "whitespace" in stderr
         assert not out.exists()
+
+
+def _rows(sd: float) -> str:
+    """60 rows of two Gaussian channels of the given sd, one CSV line each."""
+    x = sd * np.random.default_rng(5).standard_normal((60, 2))
+    return "".join("%r,%r\n" % (a, b) for a, b in x.tolist())
+
+
+class TestRecordContract:
+    """compute on malformed records: a clean exit, one error line, finite cells, replay."""
+
+    @pytest.mark.parametrize("content, args, want", [
+        (("a,b\n" + _rows(1.0)).replace("\n", "\r\n").encode(), [], 0),
+        (b"\xef\xbb\xbf" + ("a,b\n" + _rows(1.0)).encode(), ["--columns", "a"], 0),
+        (("a,b\n1,2\n3,\x004\n" + _rows(1.0)).encode(), [], 3),
+        (b"a,b\n", [], 3),
+        (("a,b\n" + _rows(1.0).replace("\n", "\n\n", 1)).encode(), [], 0),
+        (("a,a\n" + _rows(1.0)).encode(), ["--columns", "a"], 3),
+        (("# colour = red\na,b\n" + _rows(1.0)).encode(), [], 0),
+        (("a,b\n" + _rows(1e300)).encode(), [], 2),
+        (("a,b\n" + _rows(1e300)).encode(), ["--tolerance-mode", "absolute", "--r", "1e300"],
+         0),
+        (("a,b\n" + _rows(1e10)).encode(), ["--r", "1e300"], 2),
+        (("a,b\n" + _rows(1.0)).encode(), ["--estimator", "mmse", "--r", "1e308"], 2),
+    ], ids=["crlf", "bom", "nul", "header-only", "blank-line", "repeated-label",
+            "unknown-metadata", "1e300-samples", "1e300-absolute-radius",
+            "1e300-quotient", "mmse-1e308-quotient"])
+    def test_exit_error_line_cells_and_replay(self, tmp_path, capsys, content, args, want):
+        rec = tmp_path / "rec.csv"
+        rec.write_bytes(content)
+        out = tmp_path / "out.csv"
+        code, _, stderr = run(capsys, "compute", "--input", str(rec), "--output", str(out),
+                              "--scales", "1..2", *args)
+        assert code == want
+        if code:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+            assert "Traceback" not in stderr and not out.exists()
+            return
+        cells = [cell for row in read_result(out).rows for cell in row]
+        assert all(cell is None or np.isfinite(cell) for cell in cells)
+        replayed = tmp_path / "replayed.csv"
+        assert run(capsys, "replay", "--input", str(out), "--output", str(replayed))[0] == 0
+        assert replayed.read_bytes() == out.read_bytes()

@@ -93,6 +93,19 @@ class TestResolveTolerance:
             curve = vemse(MultichannelSeries(chans), params, per_scale_tolerance=True)
         assert curve.values == [None, None]
 
+    def test_overflowing_radius_degenerate(self):
+        # a finite quotient times a finite trace can still pass the largest
+        # float: refused, never an infinite radius
+        data = MultichannelSeries(1e10 * np.random.default_rng(3).standard_normal((2, 200)))
+        params = EntropyParams(m=2, r=1e300, L=1, scales=[1, 2])
+        with pytest.raises(DegenerateToleranceError, match="radius overflows"):
+            vemse(data, params)
+        with pytest.raises(DegenerateToleranceError, match="radius overflows"):
+            mmse(data, [2, 2], ToleranceRule.trace(1e308))  # z-scored trace is 2
+        assert vemse(data, params, per_scale_tolerance=True).values == [None, None]
+        # an absolute radius of 1e300 is finite: every pair matches
+        assert vemse(data, params, ToleranceRule.absolute(1e300)).values == [0.0, 0.0]
+
 
 class TestPairCounts:
     """Exact unordered pair counts (lo at dim d, hi at d + 1) from the kernel."""

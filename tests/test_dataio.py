@@ -309,6 +309,19 @@ class TestRecordParseErrors:
         path.write_text("a\n-0\n0\n")
         assert np.signbit(load_record(path).channel(0)).tolist() == [True, False]
 
+    def test_byte_order_mark_is_not_part_of_a_label(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+        rec = load_record(path, columns=["a"])
+        assert rec.channel_labels == ["a"] and rec.channel(0).tolist() == [1.0, 3.0]
+
+    def test_repeated_label_is_refused_when_selected(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text("a,a,b\n1,2,3\n")
+        with pytest.raises(RecordParseError, match="more than one column named 'a'"):
+            load_record(path, columns=["a"])
+        assert load_record(path, columns=["b", 1]).channel_labels == ["b", "a"]
+
     def test_not_utf8_is_a_parse_error(self, tmp_path):
         path = tmp_path / "rec.csv"
         path.write_bytes(b"a,b\n1,\xff\n")

@@ -159,9 +159,19 @@ class TestMmse:
         calls = []
         monkeypatch.setattr(estimators, "_cdv_probs", lambda *args: calls.append(args))
         data = MultichannelSeries(np.random.default_rng(0).standard_normal((2, 40)))
-        with pytest.raises(InvalidParameterError, match="scale 41 out of range"):
+        with pytest.raises(InvalidParameterError,
+                           match="largest scale 41 exceeds data length 40"):
             mmse(data, [2, 2], scales=range(1, 42))
         assert calls == []
+
+    @pytest.mark.parametrize("scales", [[], [3, 1], [2, 2]])
+    def test_same_scale_refusals_as_vemse(self, scales):
+        data = MultichannelSeries(np.random.default_rng(0).standard_normal((2, 40)))
+        with pytest.raises(InvalidParameterError) as from_vemse:
+            vemse(data, EntropyParams(scales=scales))
+        with pytest.raises(InvalidParameterError) as from_mmse:
+            mmse(data, [2, 2], scales=scales)
+        assert str(from_mmse.value) == str(from_vemse.value)
 
     def test_single_channel_close_to_sampen_on_normalized_data(self):
         # the composite-vector template count differs from the univariate
