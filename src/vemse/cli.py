@@ -299,7 +299,9 @@ def run_surrogate(values: dict, cfg: dict) -> ResultFile:
     data = _load_input(values)
     shuffled = np.stack([shuffle_surrogate(data.channels[c], (values["seed"], c))
                          for c in range(data.n_channels)])
-    return record_to_resultfile(shuffled, data.channel_labels, cfg)
+    rate = data.sample_rate_hz
+    metadata = cfg if rate is None else dict(cfg, sample_rate_hz=repr(rate))
+    return record_to_resultfile(shuffled, data.channel_labels, metadata)
 
 
 def run_bench(values: dict, cfg: dict) -> ResultFile:

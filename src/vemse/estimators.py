@@ -26,8 +26,10 @@ what they need from that one sort: the exact extent of the band, from
 each sample's run end at the largest radius (_run_ends), and the ranks
 of the rank test below. A channel goes to the band counter when its
 band is narrow enough to beat the sweep (_band_is_cheaper): sample
-entropy's usual radii on long records. Both counters walk their
-diagonals in blocks through one helper (_close_blocks) that tests which
+entropy's usual radii on long records. Both counters take the same
+arguments and walk their diagonals in blocks through one helper
+(_close_blocks), which alone builds the padded sample keys, holds the
+rule that an overflowing difference matches nothing, and tests which
 sample pairs are close, by one of two exact tests (_ranks_are_cheaper):
 
 - at one radius, on sample ranks: each sample gets the run of sorted
@@ -201,50 +203,42 @@ def _rank_runs(order: np.ndarray, end: np.ndarray):
     return rank, lo, w
 
 
-def _keys(y: np.ndarray, ranks, at: np.ndarray):
-    """(S, run): the samples y[at] as _close_blocks keys.
-
-    ranks is _rank_runs of y for the rank test, or None for the float
-    test. at is (E, T) sample indices, those >= y.size past the end of y.
-    S is (E, 2T): the samples and NaN (float test, run None) or their
-    ranks and the sentinel (rank test, run = (lo, w), each (E, T)), past
-    the end and in the right half.
-    """
-    n = y.size
-    e, t = at.shape
-    at = np.minimum(at, n)
-    if ranks is None:
-        S = np.full((e, 2 * t), np.nan)
-        S[:, :t] = np.append(y, np.nan)[at]
-        return S, None
-    rank, lo, w = ranks
-    S = np.full((e, 2 * t), rank[n])
-    S[:, :t] = rank[at]
-    return S, (lo[at], w[at])
-
-
-def _close_blocks(S: np.ndarray, run, k_max: int, span, radii):
+def _close_blocks(y: np.ndarray, ranks, at: np.ndarray, k_max: int, span, radii):
     """Which pairs on the diagonals k = 1..k_max are close, a block at a time.
 
-    S and run come from _keys; k_max must not pass T. span(k0) is
-    (first, width): the block from diagonal k0 covers places first..first
-    + width - 1 of each of its diagonals, with first + width <= T. A
-    block holds about _BLOCK_CELLS cells and at least one diagonal. A
-    pair reaching past the end, into S's right half, is never close.
+    The keys are the samples y[at], at being (E, T) sample indices, those
+    >= y.size past the end of y; k_max must not pass T. ranks is
+    _rank_runs of y for the rank test, or None for the float test. The
+    keys are padded to (E, 2T) with NaN (float test) or the sentinel rank
+    (rank test), so a pair reaching past the end, into the right half, is
+    never close. span(k0) is (first, width): the block from diagonal k0
+    covers places first..first + width - 1 of each of its diagonals, with
+    first + width <= T. A block holds about _BLOCK_CELLS cells and at
+    least one diagonal.
 
     Yields (k0, k, close) per block and radius, where close[e, a, i] says
     whether the samples at element e of places first + i and first + i +
     k0 + a are within radii[k]; close is reused by the next yield. The
     float test takes each block's |difference| once and compares it with
     each radius; samples near +-1e308 can differ by more than the largest
-    float, so the caller runs the walk under np.errstate(over="ignore"),
-    since an infinite |difference| never matches a finite radius. The rank
-    test, at its one radius, takes rank[j] - lo[i] modulo the dtype, which
-    is <= w[i] exactly when rank[j] lies in the run.
+    float, and that subtract overflows silently, since an infinite
+    |difference| never matches a finite radius. The rank test, at its one
+    radius, takes rank[j] - lo[i] modulo the dtype, which is <= w[i]
+    exactly when rank[j] lies in the run.
     """
     if k_max < 1:
         return
-    n_el, t = S.shape[0], S.shape[1] // 2
+    n = y.size
+    n_el, t = at.shape
+    at = np.minimum(at, n)
+    if ranks is None:
+        S = np.full((n_el, 2 * t), np.nan)
+        S[:, :t] = np.append(y, np.nan)[at]
+    else:
+        rank, lo, w = ranks
+        S = np.full((n_el, 2 * t), rank[n])
+        S[:, :t] = rank[at]
+        lo, w = lo[at], w[at]
     step = S.strides[1]
     # every diagonal of S as one view: diagonals[e, k, q] = S[e, q + k]
     diagonals = np.lib.stride_tricks.as_strided(
@@ -263,18 +257,18 @@ def _close_blocks(S: np.ndarray, run, k_max: int, span, radii):
         block = diagonals[:, k0:k0 + rows, cols]
         gap = gap_buf[:cells].reshape(shape)
         close = close_buf[:cells].reshape(shape)
-        if run is None:
-            np.abs(np.subtract(block, S[:, None, cols], out=gap), out=gap)
+        if ranks is None:
+            with np.errstate(over="ignore"):  # an infinite |difference| matches nothing
+                np.abs(np.subtract(block, S[:, None, cols], out=gap), out=gap)
             for k, radius in enumerate(radii):
                 yield k0, k, np.less_equal(gap, radius, out=close)
         else:
-            lo, w = run
             np.subtract(block, lo[:, None, cols], out=gap)
             yield k0, 0, np.less_equal(gap, w[:, None, cols], out=close)
         k0 += rows
 
 
-def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, equal: bool, chan):
+def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, chan):
     """_pair_counts for one channel, by a sweep over every diagonal.
 
     Template pair (i, j = i + s) matches at dimension d exactly when
@@ -283,47 +277,45 @@ def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, equal: bool, chan):
     the mask at e ANDed with the closeness of the e-th template element.
     A pair reaching past the channel's end is never close
     (_close_blocks), so it drops out with no bound checks. chan is
-    _sort_channel's result for the same arguments; the sweep reads only
-    its ranks.
+    _sort_channel's result for the same channel: the sweep reads its
+    ranks, and its cap, the templates counted at d (chan[1].size), which
+    under equal_template_count is below _templates(n, d, lag).
 
     Returns (lo, hi): int arrays of len(radii), pair counts at d and d + 1.
     """
     n = y.size
     lo = np.zeros(len(radii), dtype=np.int64)
     hi = np.zeros(len(radii), dtype=np.int64)
-    S, run = _keys(y, chan[0], np.arange(n)[None, :])
-    if equal:
-        cap = _templates(n, d, lag, True)
+    t, cap = _templates(n, d, lag), chan[1].size
+    if cap < t:
         # before_cap[s, i]: whether j = i + s is below the cap
         before_cap = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n) < cap, n)
     match_buf = np.empty(max(_BLOCK_CELLS, n), dtype=bool)
-    # a diagonal s holds a pair at dimension d only if s < _templates(n, d, lag); an
-    # overflowing difference is infinite and matches nothing (_close_blocks)
-    with np.errstate(over="ignore"):
-        for k0, k, close in _close_blocks(S, run, _templates(n, d, lag) - 1,
-                                          lambda k0: (0, n - k0), radii):
-            close = match = close[0]
-            rows, width = close.shape
-            for e in range(1, d + 1):
-                if e == d:
-                    counted = match
-                    if equal:
-                        # pair j = i + s counts only if j < cap
-                        keep = max(cap - k0, 0)
-                        counted = match[:, :keep] & before_cap[k0:k0 + rows, :keep]
-                    lo[k] += np.count_nonzero(counted)
-                # match[:, i] at e + 1: match at e and close[:, i + eL]
-                keep = width - e * lag
-                if keep <= 0:
-                    break
-                if e == 1:
-                    match = np.logical_and(close[:, :keep], close[:, lag:],
-                                           out=match_buf[:rows * keep].reshape(rows, keep))
-                else:
-                    match = np.logical_and(match[:, :keep], close[:, e * lag:],
-                                           out=match[:, :keep])
-            else:  # no break: match holds the pairs at d + 1
-                hi[k] += np.count_nonzero(match)
+    # a diagonal s holds a pair at dimension d only if s < t
+    for k0, k, close in _close_blocks(y, chan[0], np.arange(n)[None, :], t - 1,
+                                      lambda k0: (0, n - k0), radii):
+        close = match = close[0]
+        rows, width = close.shape
+        for e in range(1, d + 1):
+            if e == d:
+                counted = match
+                if cap < t:
+                    # pair j = i + s counts only if j < cap
+                    keep = max(cap - k0, 0)
+                    counted = match[:, :keep] & before_cap[k0:k0 + rows, :keep]
+                lo[k] += np.count_nonzero(counted)
+            # match[:, i] at e + 1: match at e and close[:, i + eL]
+            keep = width - e * lag
+            if keep <= 0:
+                break
+            if e == 1:
+                match = np.logical_and(close[:, :keep], close[:, lag:],
+                                       out=match_buf[:rows * keep].reshape(rows, keep))
+            else:
+                match = np.logical_and(match[:, :keep], close[:, e * lag:],
+                                       out=match[:, :keep])
+        else:  # no break: match holds the pairs at d + 1
+            hi[k] += np.count_nonzero(match)
     return lo, hi
 
 
@@ -365,37 +357,34 @@ def _band_counts(y: np.ndarray, lag: int, radii, d: int, chan):
 
     chan is _sort_channel's result for the same channel: the templates
     counted at d in sorted order and each one's reach. Element e of the
-    template at sorted place q is S[e, q] (_keys), and past the last
-    template and past the end of y nothing is close. Every pair within
-    the largest radius is a cell (q, q + k) with 1 <= k <= reach[q], so
-    each diagonal k is walked only over the places whose reach gets to
-    it. The closeness test is the sweep's on the same two samples, up to
-    an exact negation, so the counts are exact.
+    template at sorted place q is y[order[q] + e*L], and past the last
+    template and past the end of y nothing is close (_close_blocks).
+    Every pair within the largest radius is a cell (q, q + k) with
+    1 <= k <= reach[q], so each diagonal k is walked only over the span
+    from the first place whose prefix max of reach gets to k to the last
+    whose suffix max does. That span can hold places with reach[q] < k,
+    whose cells are past the radius on element 0, so element 0 is tested
+    like every other, even at one radius. The closeness test is the
+    sweep's on the same two samples, up to an exact negation, so the
+    counts are exact.
 
     Returns (lo, hi): int arrays of len(radii), pair counts at d and d + 1.
     """
     lo = np.zeros(len(radii), dtype=np.int64)
     hi = np.zeros(len(radii), dtype=np.int64)
     ranks, order, reach = chan
-    t = order.size
-    if t < 2:
-        return lo, hi
-    S, run = _keys(y, ranks, order + lag * np.arange(d + 1)[:, None])
-    # places reaching k run from the first whose prefix max of reach gets
-    # to k to the last whose suffix max does
-    k_max = int(reach.max())
+    k_max = int(reach.max(initial=0))
     ks = np.arange(1, k_max + 1)
     first = np.searchsorted(np.maximum.accumulate(reach), ks)
-    width = t - np.searchsorted(np.maximum.accumulate(reach[::-1]), ks) - first
+    width = order.size - np.searchsorted(np.maximum.accumulate(reach[::-1]), ks) - first
     spans = list(zip(first.tolist(), width.tolist()))
-    # an overflowing difference is infinite and matches nothing (_close_blocks)
-    with np.errstate(over="ignore"):
-        for _, k, close in _close_blocks(S, run, k_max, lambda k0: spans[k0 - 1], radii):
-            match = close[0]
-            for e in range(1, d):
-                np.logical_and(match, close[e], out=match)
-            lo[k] += np.count_nonzero(match)
-            hi[k] += np.count_nonzero(np.logical_and(match, close[d], out=match))
+    for _, k, close in _close_blocks(y, ranks, order + lag * np.arange(d + 1)[:, None], k_max,
+                                     lambda k0: spans[k0 - 1], radii):
+        match = close[0]
+        for e in range(1, d):
+            np.logical_and(match, close[e], out=match)
+        lo[k] += np.count_nonzero(match)
+        hi[k] += np.count_nonzero(np.logical_and(match, close[d], out=match))
     return lo, hi
 
 
@@ -436,10 +425,8 @@ def _pair_counts(chans: np.ndarray, lag: int, radii, dims, equal: bool = False):
     hi = np.zeros((len(radii), p), dtype=np.int64)
     for c, d in enumerate(dims):
         chan = _sort_channel(chans[c], lag, radii, d, equal)
-        if _band_is_cheaper(n, d, int(chan[2].sum())):
-            lo[:, c], hi[:, c] = _band_counts(chans[c], lag, radii, d, chan)
-        else:
-            lo[:, c], hi[:, c] = _sweep_counts(chans[c], lag, radii, d, equal, chan)
+        counter = _band_counts if _band_is_cheaper(n, d, int(chan[2].sum())) else _sweep_counts
+        lo[:, c], hi[:, c] = counter(chans[c], lag, radii, d, chan)
     return lo, hi
 
 

@@ -237,14 +237,23 @@ class TestCompute:
         assert "config: per_scale_tolerance = true" in stdout
         assert len(read_result(out).rows) == 3
 
-    def test_emit_plot(self, record, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, plot", [
+        (["compute", "--scales", "1..3"], "plot '{}' using 1:2 with linespoints title 'entropy'"),
+        (["sweep", "--vary", "r", "--values", "0.3", "--models", "wgn", "--n", "100",
+          "--realizations", "1"], "plot '{}' using 2:3:4 with yerrorlines title 'mean±std'"),
+        (["bench", "--vary", "N", "--values", "100", "--runs", "1"],
+         "plot '{}' using 1:2 with linespoints title 'vemse', \\"),
+    ], ids=["compute", "sweep", "bench"])
+    def test_emit_plot(self, record, tmp_path, capsys, argv, plot):
+        # each result kind (curve, ensemble, timing) gets its own plot line
+        if argv[0] == "compute":
+            argv = argv + ["--input", str(record)]
         out = tmp_path / "c.csv"
-        code, _, _ = run(capsys, "compute", "--input", str(record),
-                         "--output", str(out), "--scales", "1..3",
-                         "--emit-plot")
+        code, stdout, _ = run(capsys, *argv, "--output", str(out), "--emit-plot")
         assert code == 0
-        script = (tmp_path / "c.csv.gp").read_text()
-        assert "plot" in script
+        assert "wrote %s.gp" % (out,) in stdout
+        script = (tmp_path / "c.csv.gp").read_text(encoding="utf-8").splitlines()
+        assert plot.format(out) in script
 
 
 class TestMmseLag:
@@ -338,6 +347,20 @@ class TestSurrogate:
         rec = tmp_path / "rec.csv"
         rec.write_text("# sample_rate_hz = %s\na,b\n1,2\n3,4\n" % (rate,))
         assert load_record(rec).sample_rate_hz == float(rate)
+
+    def test_sample_rate_survives_and_replays(self, tmp_path, capsys):
+        # the surrogate keeps the input's sample rate, in write_record's repr form
+        rec = tmp_path / "rec.csv"
+        chans = np.random.default_rng(2).standard_normal((2, 50))
+        write_record(MultichannelSeries(chans, sample_rate_hz=128.0), rec)
+        out = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "surrogate", "--input", str(rec), "--output", str(out))
+        assert code == 0
+        assert read_result(out).metadata["sample_rate_hz"] == "128.0"
+        assert load_record(out).sample_rate_hz == 128.0
+        redo = tmp_path / "redo.csv"
+        replay(out, redo)
+        assert out.read_bytes() == redo.read_bytes()
 
     def test_preserves_multiset(self, record, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -29,10 +29,7 @@ from oracles import naive_counts, naive_sampen, naive_templates, naive_vemse_poi
 
 def count_one(counter, y, lag, radii, d):
     """One channel's (lo, hi) from one counter, fed the channel's one sort."""
-    chan = _sort_channel(y, lag, radii, d, False)
-    if counter is _band_counts:
-        return counter(y, lag, radii, d, chan)
-    return counter(y, lag, radii, d, False, chan)
+    return counter(y, lag, radii, d, _sort_channel(y, lag, radii, d, False))
 
 
 class TestCoarseGrain:
@@ -226,12 +223,26 @@ class TestCounterChoice:
 
     def test_band_leaves_out_pairs_past_the_radius(self):
         # two clusters of 10 just over the radius apart: the band holds
-        # exactly the 90 pairs inside the clusters
+        # exactly the 90 pairs inside the clusters. At d = 2 the walk of
+        # each diagonal also crosses from the first cluster's last
+        # template (start, start + radius+) to the second cluster's: 8
+        # cells past the radius on element 0 but close on element 1, so a
+        # band that skipped element 0 would read 80 pairs where 72 match
+        # (81 with whole blocks, which walk each diagonal over the span of
+        # the block's first)
         rng = np.random.default_rng(6)
         for radius in (0.1, 0.3, 1.0):
             for start in rng.uniform(-5, 5, 50):
                 x = np.repeat([start, start + radius * (1 + 1e-9)], 10)
                 assert int(_sort_channel(x, 1, [radius], 1, False)[2].sum()) == 90
+                want = [sum(naive_counts(naive_templates(x.tolist(), dim, 1), radius)) // 2
+                        for dim in (2, 3)]
+                assert want == [72, 56]
+                for block in (1, estimators._BLOCK_CELLS):
+                    with mock.patch.object(estimators, "_BLOCK_CELLS", block):
+                        for counter in (_band_counts, _sweep_counts):
+                            lo, hi = count_one(counter, x, 1, [radius], 2)
+                            assert [lo[0], hi[0]] == want
 
     def test_mixed_call_equals_the_sweep(self):
         # a wide channel has a narrow band at this radius, a narrow one a

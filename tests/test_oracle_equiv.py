@@ -205,7 +205,7 @@ def counts(y, lag, radii, d, equal):
     """(band, sweep): one channel's (lo, hi) from each counter, fed the channel's one sort."""
     chan = _sort_channel(y, lag, radii, d, equal)
     return (_band_counts(y, lag, radii, d, chan),
-            _sweep_counts(y, lag, radii, d, equal, chan))
+            _sweep_counts(y, lag, radii, d, chan))
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,8 +234,7 @@ def test_pair_count_kernel_matches_naive_exactly(grid, p, m, lag, extra, equal, 
     with mock.patch.object(estimators, "_BLOCK_CELLS", block):
         lo, hi = _pair_counts(chans, lag, radii, dims, equal)
         sorts = [_sort_channel(chans[c], lag, radii, d, equal) for c, d in enumerate(dims)]
-        swept = [_sweep_counts(chans[c], lag, radii, d, equal, sorts[c])
-                 for c, d in enumerate(dims)]
+        swept = [_sweep_counts(chans[c], lag, radii, d, sorts[c]) for c, d in enumerate(dims)]
         banded = [_band_counts(chans[c], lag, radii, d, sorts[c]) for c, d in enumerate(dims)]
         points = _curve_points(chans, m, lag, radii, equal)
         singles = [_pair_counts(chans, lag, [radius], dims, equal) for radius in radii]
