@@ -40,14 +40,16 @@ sample pairs are close, by one of two exact tests (_ranks_are_cheaper):
   radii are counted in one pass per scale.
 
 mmse counts composite delay vectors with one k-d tree pair walk per
-scale and radius (_cdv_probs): trees over fixed tiles of templates list
-each pair within the radius at the base dims once, and each of the P
-bumped passes checks its one extra coordinate on those pairs. mmse stays
-off the two counters above, where its channels would share one match
-mask and could overtake vemse, against the acceptance timing criterion
-(vemse no slower than mmse); on that criterion's input vemse runs about
-6.8 times as fast as mmse at two channels and 4.3 times at four
-(BENCH_kernel.json).
+scale and radius (_cdv_probs): the templates are sorted by their first
+coordinate and cut into tiles, one tree each; the trees list each pair
+within the radius at the base dims once, skipping every pair of tiles
+whose first coordinates lie farther apart than the radius, and each of
+the P bumped passes checks its one extra coordinate on those pairs.
+mmse stays off the two counters above, where its channels would share
+one match mask and could overtake vemse, against the acceptance timing
+criterion (vemse no slower than mmse); on that criterion's input vemse
+runs about 2.6 times as fast as mmse at two channels and 2.5 times at
+four (BENCH_kernel.json).
 
 Undefined estimates (no matches at dimension m or m+1, or too few
 templates at a scale) are returned as None, never raised and never NaN.
@@ -574,9 +576,15 @@ def sampen(x, m: int, r_abs: float, lag: int = 1, *, equal_template_count: bool 
 
 
 # Rows of one tile of mmse's pair walk. A listing (a tile with itself or
-# with a later tile) holds at most _TILE^2 = 2^20 pairs, which bounds the
+# with a later tile) holds at most _TILE^2 = 2^16 pairs, which bounds the
 # walk's scratch, under 200 bytes a listed pair, whatever the radius.
-_TILE = 1024
+# Only tiles whose first coordinates come within the radius are listed,
+# so smaller tiles list fewer far pairs, at more tree calls. Measured on
+# 2 CPUs over tiles of 128, 256, 512 and 1024 (interleaved, medians):
+# 4000 x 4 at scales 1..5 took 0.150, 0.141, 0.154 and 0.170 s; 20k x 4
+# at scale 1 took 1.83, 1.71, 1.68 and 1.42 s; and every pair matching
+# (4000 x 2, radius 100) peaked at 73, 79, 103 and 190 MiB.
+_TILE = 256
 
 
 def _cdv_probs(channels, dims, lags, radius: float):
@@ -586,12 +594,18 @@ def _cdv_probs(channels, dims, lags, radius: float):
     channel c; a pass has T = N_t - max(dims)*max(lags) templates, and
     None is returned when any pass has fewer than two. Bumped pass c adds
     the one coordinate y_c[i + m_c*l_c], so its matching pairs are the
-    base matches (i < j < T_c) that are also within the radius there.
+    base matches i != j with both below T_c that are also within the
+    radius there.
 
-    The base matches are listed once each, with i < j, by a dual-tree walk
-    over tiles of _TILE templates, one k-d tree per tile: each tile lists
-    its own pairs (query_pairs), and each pair of tiles a < b lists the
-    pairs between them (sparse_distance_matrix).
+    The templates are sorted once by their first coordinate (y_0[i]) and
+    cut, in that order, into tiles of _TILE, one k-d tree per tile. Each
+    tile lists its own pairs (query_pairs), and each later tile b the
+    pairs between them (sparse_distance_matrix), so every base match is
+    listed once, until the first b whose smallest first coordinate less
+    tile a's largest is past the radius. That skip is exact: a computed
+    difference never falls as its larger operand grows, so every pair of
+    tile a with tile b or a later one is past the radius on coordinate 0.
+    Listed rows are sorted places; order maps them back to templates.
     """
     n_t = channels[0].size
     lag = max(lags)
@@ -601,9 +615,14 @@ def _cdv_probs(channels, dims, lags, radius: float):
         return None
     from scipy.spatial import cKDTree  # only mmse needs it; it is slow to import
 
-    tpl = np.column_stack([y[k * l: k * l + t]
+    order = np.argsort(channels[0][:t])
+    tpl = np.column_stack([y[k * l: k * l + t][order]
                            for y, m, l in zip(channels, dims, lags) for k in range(m)])
-    trees = [cKDTree(tpl[lo:lo + _TILE]) for lo in range(0, t, _TILE)]
+    starts = range(0, t, _TILE)
+    trees = [cKDTree(tpl[lo:lo + _TILE]) for lo in starts]
+    # each tile's smallest and largest first coordinate
+    low = tpl[starts, 0]
+    high = tpl[[min(lo + _TILE, t) - 1 for lo in starts], 0]
     # extras[c][i] = y_c[i + m_c*l_c], the coordinate bumped pass c adds
     extras = [y[m * l:] for y, m, l in zip(channels, dims, lags)]
     base = 0
@@ -613,13 +632,17 @@ def _cdv_probs(channels, dims, lags, radius: float):
             if b == a:
                 i, j = (tree.query_pairs(radius, p=np.inf, output_type="ndarray")
                         + a * _TILE).T
+            elif low[b] - high[a] > radius:
+                break
             else:
                 pairs = tree.sparse_distance_matrix(trees[b], radius, p=np.inf,
                                                     output_type="ndarray")
                 i, j = pairs["i"] + a * _TILE, pairs["j"] + b * _TILE
+            i, j = order[i], order[j]
             base += i.size
+            last = np.maximum(i, j)
             for c, extra in enumerate(extras):
-                inside = j < t_bump[c]
+                inside = last < t_bump[c]
                 bumped[c] += np.count_nonzero(
                     np.abs(extra[i[inside]] - extra[j[inside]]) <= radius)
     return _prob(base, t), math.fsum(map(_prob, bumped, t_bump)) / len(dims)
@@ -643,11 +666,14 @@ def mmse(
     templates; that is decided before any counting. Scales are refused
     as in vemse, by the same per-scale loop (_curves).
 
-    Each scale makes one pair walk: k-d trees (scipy, imported on first
-    use), one per tile of _TILE templates, list each template pair
-    within the radius at dims once, and each bumped pass keeps the pairs
-    among its own templates whose added coordinate is within the radius
-    too. The counts equal those of P + 1 separate passes.
+    Each scale makes one pair walk: the templates are sorted by their
+    first coordinate and cut into tiles of _TILE, and k-d trees (scipy,
+    imported on first use), one per tile, list each template pair within
+    the radius at dims once; a pair of tiles whose first coordinates lie
+    farther apart than the radius is never listed, since none of its
+    pairs can match. Each bumped pass keeps the pairs among its own
+    templates whose added coordinate is within the radius too. The counts
+    equal those of P + 1 separate passes.
 
     Parameters
     ----------

@@ -184,6 +184,86 @@ def test_mmse_counts_exact_ties_on_both_listings():
     assert all(g[0] > s[0] for g, s in zip(exact, short.probs))
 
 
+def _naive_walk_counts(chans, dims, lags, radius):
+    """(pairs, templates) of the base pass and of each bumped pass, by brute force."""
+    cg = [list(c) for c in chans]
+    passes = [dims] + [[d + (k == c) for k, d in enumerate(dims)] for c in range(len(dims))]
+    return [naive_cdv_pairs(cg, ds, lags, radius)[::-1] for ds in passes]
+
+
+def _counted(prob_spy):
+    """The (pairs, templates) that _cdv_probs put through _prob, base pass first."""
+    return [tuple(call.args) for call in prob_spy.call_args_list]
+
+
+# Two channels in units of 1/8, each with mean 0 and sample variance 1
+# exactly, so z-scoring changes no sample. Channel 0's first 42 samples,
+# the composite templates' first coordinates at dims [1, 2], read sorted:
+#   -14 -14 -12 -6 -6 -6 -6 | -5 -5 -4 -4 -4 -3 -3 | -1 -1 -1 -1 0 0 0 |
+#     0  0  0  1  1  1  1 |  3  3  4  4  4  5  5 |  6  6  6  6 12 14 14
+_SKIP_EDGE = np.array([
+    [0, 4, -12, 1, -1, 1, -5, 1, 0, -3, 0, 1, 14, -6, 4, 5, -1, 0, 3, 6, -3, 5,
+     14, 6, -4, 6, 0, -6, -6, 6, -1, 3, -14, -4, 12, -1, 0, -4, -6, -14, 4, -5, 24, -24],
+    [14, -5, 6, 4, 6, 4, -6, -14, -1, -3, -4, 3, 1, -6, 1, 12, -24, 0, 4, -6, 6, -4,
+     1, -5, 1, -3, 6, -12, 0, -14, -1, -4, -6, 5, 3, 14, 24, 0, -1, 0, 5, -1, 0, 0],
+]) / 8
+
+
+def test_mmse_tile_skip_is_exact_at_its_edge():
+    # at a radius of 1/8 and tiles of 7 (the bars above), two tile
+    # boundaries are a gap of exactly the radius, which must be listed,
+    # two are the radius plus a step, which are skipped, and one splits a
+    # run of zeros; at tiles of 1 every sorted step is a boundary
+    chans, dims, radius = _SKIP_EDGE, [1, 2], 1 / 8
+    assert np.all(chans.mean(axis=1) == 0) and np.all(chans.std(axis=1, ddof=1) == 1)
+    # bumped pass 1 has 41 templates; template 41 matches template 37 at
+    # the base dims and on the added coordinate, and sorts before it, so
+    # every listing yields that pair as i = 41 > j = 37, outside the pass
+    y0, y1 = chans
+
+    def bumped_template(i):
+        return np.array([y0[i], y1[i], y1[i + 1], y1[i + 2]])
+
+    assert y0[41] < y0[37]
+    assert np.max(np.abs(bumped_template(41) - bumped_template(37))) <= radius
+    want = _naive_walk_counts(chans, dims, [1, 1], radius)
+    assert want[2][1] == 41 < want[0][1] == 42
+    naive = naive_mmse_probs([list(c) for c in chans], dims, radius / 2, [1, 1], [1])
+    for tile in (1, 7, estimators._TILE):
+        with mock.patch.object(estimators, "_TILE", tile), \
+                mock.patch.object(estimators, "_prob", side_effect=estimators._prob) as prob:
+            curve = mmse(MultichannelSeries(chans), dims, ToleranceRule.absolute(radius))
+        assert _counted(prob) == want
+        _assert_mmse_matches_naive(curve, naive)
+
+
+@pytest.mark.parametrize("tile", [1, 8])
+def test_mmse_walk_lists_no_tile_pair_across_a_gap_past_the_radius(tile):
+    # the first coordinates form two clusters of 40 templates, at -1 and
+    # +1, each 0.6 wide: 1.4 apart, against a radius of 0.5, so no
+    # listing may pair a tile of one cluster with a tile of the other
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(11)
+    first = rng.permutation(np.repeat([-1.0, 1.0], 40)) + rng.uniform(-0.3, 0.3, 80)
+    chans = np.stack([np.append(first, rng.standard_normal(2)), 0.5 * rng.standard_normal(82)])
+    dims, lags, radius = [2, 1], [1, 1], 0.5
+    listed = []
+
+    class SpyTree(cKDTree):
+        def sparse_distance_matrix(self, other, *args, **kwargs):
+            listed.append(np.concatenate([self.data[:, 0], other.data[:, 0]]))
+            return super().sparse_distance_matrix(other, *args, **kwargs)
+
+    with mock.patch("scipy.spatial.cKDTree", SpyTree), \
+            mock.patch.object(estimators, "_TILE", tile), \
+            mock.patch.object(estimators, "_prob", side_effect=estimators._prob) as prob:
+        estimators._cdv_probs(chans, dims, lags, radius)
+    assert listed  # tiles within a cluster are still listed
+    assert all(np.all(rows < 0) or np.all(rows > 0) for rows in listed)
+    assert _counted(prob) == _naive_walk_counts(chans, dims, lags, radius)
+
+
 def test_undefinedness_monotone_in_dimension():
     # whenever the base-dimension probability is zero, the incremented
     # one is too; asserted on the oracle over many small draws

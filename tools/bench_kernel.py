@@ -21,6 +21,9 @@ Cases, all with fixed seeds:
   at dims 2 and the absolute radius 100, where every template pair
   matches: the shape that lists the most pairs, so the one that bounds
   the pair walk's memory;
+- ``mmse_20k``: `mmse` on four 20000-sample AR(2) channels at dims 2,
+  scale 1 and radius 0.15 times their covariance trace: the long-record
+  shape, where the pair walk's per-tile overhead shows;
 - ``acceptance10_p<P>_<estimator>``: `vemse` and `mmse` on the input of
   acceptance criterion 10 (P = 2 and 4 white-noise channels of 5000
   samples, m = 2, r = 0.15, scale 1), which requires vemse to be no
@@ -63,7 +66,7 @@ CHANNELS = {"channel_5k": (5_000, 5), "channel_20k": (20_000, 2),
 ACCEPTANCE_10 = {"acceptance10_p%d_%s" % (p, est): (p, est)
                  for p in (2, 4) for est in ("vemse", "mmse")}
 CASES = list(CHANNELS) + ["compute_shape", "sweep_r_shape", "mmse_compute_shape",
-                          "mmse_wide_radius"] + list(ACCEPTANCE_10)
+                          "mmse_wide_radius", "mmse_20k"] + list(ACCEPTANCE_10)
 
 
 def run_case(name):
@@ -106,6 +109,12 @@ def run_case(name):
         reps = 1
         data = MultichannelSeries(realize_bundle(ModelBundle.homogeneous("wgn", 2), 4000, 0, 0))
         once = lambda: mmse(data, [2, 2], ToleranceRule.absolute(100.0)).probs
+        import scipy.spatial  # untimed: the first mmse call imports it
+    elif name == "mmse_20k":
+        reps = 1
+        data = MultichannelSeries(np.stack([generate_ar(AR2, 20_000, seed=(0, 0, c))
+                                            for c in range(4)]))
+        once = lambda: mmse(data, [2] * 4, ToleranceRule.trace(0.15)).probs
         import scipy.spatial  # untimed: the first mmse call imports it
     else:
         reps = 5
