@@ -2,12 +2,13 @@
 
 Each subcommand's options are declared once, in _OPTIONS; the flags, the
 echoed configuration, the metadata and replay all derive from it. Every
-run checks its options, prints its fully resolved configuration (defaults
-included) before computing, writes its data in the CSV result format,
-and is byte-for-byte reproducible given an explicit seed. compute also
-prints the radius its curve matched with, when one radius served every
-scale. The metadata block of an output file is sufficient to replay the
-run (see replay()), which goes through the same checks and echo.
+run converts and checks all its options once, before any work, prints
+its fully resolved configuration (defaults included), writes its data
+in the CSV result format, and is byte-for-byte reproducible given an
+explicit seed. compute also prints the radius its curve matched with,
+when one radius served every scale. The metadata block of an output
+file is sufficient to replay the run (see replay()), which goes through
+the same conversion, checks and echo.
 
 Exit status: 0 success (undefined entropy points are still success),
 2 invalid configuration, 3 input parse error.
@@ -25,10 +26,10 @@ from . import experiments
 from .dataio import (
     _DECIMAL,
     ResultFile,
+    _read_table,
     curve_to_resultfile,
     ensemble_to_resultfile,
     load_record,
-    read_result,
     record_to_resultfile,
     timing_to_resultfile,
     write_result,
@@ -51,6 +52,7 @@ class CliConfigError(VemseError):
 
 
 _INT = re.compile(r"[+-]?[0-9]+")
+_MAX_VALUES = 10**6  # the most values a range or grid may hold, counted before any is built
 
 
 def _int(text: str):
@@ -64,54 +66,58 @@ def _int(text: str):
 def parse_values(spec: str):
     """Parse a value list: "a..b" (ints), "start:step:stop", or "v1,v2,...".
 
-    Items are ASCII ints or decimal numbers. start:step:stop is inclusive
-    of stop (within rounding); values are rounded to 10 decimals so
-    0.1-stepped grids come out clean.
+    Items are ASCII ints or decimal numbers; a comma list skips empty items.
+    start:step:stop is inclusive of stop (within rounding), its values
+    rounded to 10 decimals so 0.1-stepped grids come out clean. A range or
+    grid of more than _MAX_VALUES values is refused before it is built.
     """
     spec = spec.strip()
+    if ".." not in spec and ":" not in spec:
+        out = []
+        for tok in filter(None, _items(spec)):  # empty items are skipped
+            value = _int(tok)
+            if value is None and _DECIMAL.fullmatch(tok):
+                value = float(tok)
+            if value is None:
+                raise CliConfigError("bad value %r in list" % (tok,))
+            out.append(value)
+        if not out:
+            raise CliConfigError("empty value list %r" % (spec,))
+        return out
     if ".." in spec:
         lo, hi = (_int(t.strip()) for t in spec.split("..", 1))
         if lo is None or hi is None:
             raise CliConfigError("bad range %r: expected int..int" % (spec,))
         if hi < lo:
             raise CliConfigError("bad range %r: end before start" % (spec,))
-        return list(range(lo, hi + 1))
-    if ":" in spec:
+        start, step, count = lo, 1, hi - lo + 1
+    else:
         parts = spec.split(":")
         if len(parts) != 3:
             raise CliConfigError("bad range %r: expected start:step:stop" % (spec,))
         start, step, stop = (float(p) if _DECIMAL.fullmatch(p.strip()) else np.nan for p in parts)
         if not (step > 0 and stop >= start and np.isfinite(stop - start)):
             raise CliConfigError("bad range %r: need decimals, step > 0, stop >= start" % (spec,))
-        count = int((stop - start) / step + 1e-9) + 1
-        return [round(start + i * step, 10) for i in range(count)]
-    out = []
-    for tok in spec.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        value = _int(tok)
-        if value is None and _DECIMAL.fullmatch(tok):
-            value = float(tok)
-        if value is None:
-            raise CliConfigError("bad value %r in list" % (tok,))
-        out.append(value)
-    if not out:
-        raise CliConfigError("empty value list %r" % (spec,))
-    return out
+        count = np.floor((stop - start) / step + 1e-9) + 1
+    if not count <= _MAX_VALUES:  # a grid's count is inf when its quotient overflows
+        raise CliConfigError("value list %r holds more than %d values" % (spec, _MAX_VALUES))
+    return [round(start + i * step, 10) for i in range(int(count))]
 
 
-def _spec(text: str) -> str:
-    """A list option (scales, values, models) as written, unpadded."""
-    return text.strip()
+def _items(text: str) -> list:
+    """The items of a comma list, each unpadded (--models)."""
+    return [item.strip() for item in text.split(",")]
 
 
-def _columns(text: str) -> str:
-    """--columns as written, unpadded; an index is written in ASCII digits."""
-    for tok in text.split(","):
-        if tok.strip().lstrip("-").isdigit() and not re.fullmatch(r"-?[0-9]+", tok.strip()):
-            raise CliConfigError("--columns: index %r is not in ASCII digits" % (tok.strip(),))
-    return text.strip()
+def _columns(text: str):
+    """--columns as indices and labels, or None when empty; an index is ASCII digits."""
+    columns = []
+    for tok in _items(text):
+        column = _int(tok) if tok.lstrip("-").isdigit() else tok
+        if column is None:
+            raise CliConfigError("index %r is not an int written in ASCII digits" % (tok,))
+        columns.append(column)
+    return columns if text.strip() else None
 
 
 _REQUIRED = object()
@@ -120,10 +126,10 @@ _REQUIRED = object()
 class _Opt(NamedTuple):
     """One option: --key on the command line, key in the echo and the metadata.
 
-    A bool option is a flag; an int is written [+-]?[0-9]+ and a float as
-    an ASCII decimal number. choices bound the value, or each item of a
-    list option. low is the least int allowed; a float must be finite and
-    greater than its low.
+    A bool option is a flag, an int is written [+-]?[0-9]+, a float as an
+    ASCII decimal number, and a list option's type is its converter. choices
+    bound the value, or each item of a list, exactly. low is the least int
+    allowed; a float must be finite and greater than its low.
     """
 
     key: str
@@ -152,7 +158,7 @@ _RECORD = (
 _OPTIONS = {
     "compute": (_ESTIMATOR,) + _RECORD + (
         _M, _R, _L,
-        _Opt("scales", _spec, "1", "scale list, e.g. 1..20"),
+        _Opt("scales", parse_values, "1", "scale list, e.g. 1..20"),
         _Opt("tolerance_mode", str, "covariance_trace", choices=ToleranceRule.MODES),
         _Opt("normalize", bool, False),
         _Opt("per_scale_tolerance", bool, False),
@@ -161,8 +167,8 @@ _OPTIONS = {
     "sweep": (
         _ESTIMATOR,
         _Opt("vary", str, choices=experiments.SWEPT_PARAMETERS),
-        _Opt("values", _spec),
-        _Opt("models", _spec, "wgn,flicker,ar1,ar2,ar3", choices=experiments.MODEL_KINDS),
+        _Opt("values", parse_values),
+        _Opt("models", _items, "wgn,flicker,ar1,ar2,ar3", choices=experiments.MODEL_KINDS),
         _Opt("channels", int, 2, low=1),
         _M, _R, _L,
         _Opt("n", int, 1000, "samples per channel", low=1),
@@ -180,7 +186,7 @@ _OPTIONS = {
     "surrogate": _RECORD + (_SEED,),
     "bench": (
         _Opt("vary", str, choices=experiments.TIMED_PARAMETERS),
-        _Opt("values", _spec),
+        _Opt("values", parse_values),
         _Opt("n", int, 5000, low=1),
         _Opt("channels", int, 2, low=1),
         _M,
@@ -216,59 +222,60 @@ def _text(value) -> str:
     return str(value)
 
 
-def _values(cfg: dict) -> dict:
-    """The typed option values of a string config, checked against the table.
+def _values(cfg: dict):
+    """The typed option values of a string config, and the config as echoed and written.
 
-    The one converter of option text, for the command line and replay.
+    The one converter of option text, for the command line and replay,
+    run before any work. A scalar is written as converted (--r 0.20 writes
+    r = 0.2), a list option as typed, unpadded.
     """
-    values = {}
+    values, text = {}, {"command": cfg["command"]}
     for opt in _OPTIONS[cfg["command"]]:
-        flag, text = _flag_name(opt.key), cfg[opt.key]
+        flag, raw = _flag_name(opt.key), cfg[opt.key]
         if opt.type is bool:
-            if text not in ("true", "false"):
-                raise CliConfigError("%s must be true or false, got %r" % (flag, text))
-            value = text == "true"
-        elif text == "" and opt.default is None:
+            if raw not in ("true", "false"):
+                raise CliConfigError("%s must be true or false, got %r" % (flag, raw))
+            value = raw == "true"
+        elif raw == "" and opt.default is None:
             value = None
         elif opt.type is float:
-            value = float(text) if _DECIMAL.fullmatch(text) else np.nan
+            value = float(raw) if _DECIMAL.fullmatch(raw) else np.nan
             if not (value > opt.low and np.isfinite(value)):
                 raise CliConfigError("%s must be finite and > %g, written as a decimal "
-                                     "number, got %r" % (flag, opt.low, text))
+                                     "number, got %r" % (flag, opt.low, raw))
         elif opt.type is int:
-            value = _int(text)
+            value = _int(raw)
             if value is None:
-                raise CliConfigError("%s: %r is not a valid int" % (flag, text))
+                raise CliConfigError("%s: %r is not a valid int" % (flag, raw))
             if opt.low is not None and value < opt.low:
                 raise CliConfigError("%s must be >= %d, got %d" % (flag, opt.low, value))
         else:
-            value = opt.type(text)
+            try:
+                value = opt.type(raw)
+            except CliConfigError as exc:
+                raise CliConfigError("%s: %s" % (flag, exc)) from None
         if opt.choices:
-            items = value.split(",") if opt.type is _spec else [value]
-            for item in items:
-                if item.strip() not in opt.choices:
+            for item in value if isinstance(value, list) else [value]:
+                if item not in opt.choices:
                     raise CliConfigError("%s must be one of %s, got %r"
                                          % (flag, ", ".join(opt.choices), item))
         values[opt.key] = value
-    return values
+        text[opt.key] = _text(value) if isinstance(opt.type, type) else raw.strip()
+    return values, text
 
 
 # -- command bodies: each takes the typed values and the string config it
 # writes as metadata, so replay reruns them from a result file
 
 def _load_input(values: dict) -> MultichannelSeries:
-    columns = None
-    if values["columns"]:
-        columns = [int(tok) if tok.lstrip("-").isdigit() else tok
-                   for tok in (t.strip() for t in values["columns"].split(","))]
-    return load_record(values["input"], columns=columns, max_rows=values["max_rows"],
+    return load_record(values["input"], columns=values["columns"], max_rows=values["max_rows"],
                        offset=values["offset"])
 
 
 def run_compute(values: dict, cfg: dict) -> ResultFile:
     curve = experiments._estimate_curve(
         values["estimator"], _load_input(values).channels, values["m"], values["r"],
-        values["L"], parse_values(values["scales"]),
+        values["L"], values["scales"],
         ToleranceRule(mode=values["tolerance_mode"], value=values["r"]),
         normalize=values["normalize"], per_scale_tolerance=values["per_scale_tolerance"],
         equal_template_count=values["equal_template_count"])
@@ -281,9 +288,9 @@ def run_sweep(values: dict, cfg: dict) -> ResultFile:
     spec = experiments.SweepSpec(
         estimator=values["estimator"],
         swept_parameter=values["vary"],
-        sweep_values=parse_values(values["values"]),
-        bundles=[experiments.ModelBundle.homogeneous(kind.strip(), values["channels"])
-                 for kind in values["models"].split(",")],
+        sweep_values=values["values"],
+        bundles=[experiments.ModelBundle.homogeneous(kind, values["channels"])
+                 for kind in values["models"]],
         m=values["m"], r=values["r"], lag=values["L"], n_samples=values["n"],
         tau=values["tau"], realizations=values["realizations"], base_seed=values["seed"])
     return ensemble_to_resultfile(experiments.run_sweep(spec), metadata=cfg)
@@ -292,21 +299,20 @@ def run_sweep(values: dict, cfg: dict) -> ResultFile:
 def run_generate(values: dict, cfg: dict) -> ResultFile:
     bundle = experiments.ModelBundle.homogeneous(values["kind"], values["channels"])
     data = values["sd"] * experiments.realize_bundle(bundle, values["n"], values["seed"], 0)
-    return record_to_resultfile(data, metadata=cfg)
+    return record_to_resultfile(MultichannelSeries(data), metadata=cfg)
 
 
 def run_surrogate(values: dict, cfg: dict) -> ResultFile:
     data = _load_input(values)
     shuffled = np.stack([shuffle_surrogate(data.channels[c], (values["seed"], c))
                          for c in range(data.n_channels)])
-    rate = data.sample_rate_hz
-    metadata = cfg if rate is None else dict(cfg, sample_rate_hz=repr(rate))
-    return record_to_resultfile(shuffled, data.channel_labels, metadata)
+    return record_to_resultfile(
+        MultichannelSeries(shuffled, data.channel_labels, data.sample_rate_hz), metadata=cfg)
 
 
 def run_bench(values: dict, cfg: dict) -> ResultFile:
     report = experiments.timing_benchmark(
-        values["vary"], parse_values(values["values"]), n_samples=values["n"],
+        values["vary"], values["values"], n_samples=values["n"],
         channels=values["channels"], m=values["m"], tau=values["tau"], r=values["r"],
         runs=values["runs"], base_seed=values["seed"])
     return timing_to_resultfile(report, metadata=cfg)
@@ -322,8 +328,8 @@ _RUNNERS = {
 
 
 def _run(cfg: dict, out_path) -> ResultFile:
-    """Check a string config, echo it, run its command and write the result."""
-    values = _values(cfg)
+    """Convert and check a string config, echo it, run its command and write the result."""
+    values, cfg = _values(cfg)
     for key, value in cfg.items():
         print("config: %s = %s" % (key, value))
     result = _RUNNERS[cfg["command"]](values, cfg)
@@ -339,17 +345,15 @@ def replay(result_path, out_path) -> ResultFile:
     byte-identical to the original for every deterministic command
     (bench timings vary by nature).
     """
-    metadata = read_result(result_path).metadata
+    metadata = _read_table(result_path, 0)[0]
     command = metadata.get("command")
     if command not in _RUNNERS:
         raise CliConfigError("file %s has no replayable command metadata" % (result_path,))
-    cfg = {"command": command}
     for opt in _OPTIONS[command]:
         if opt.key not in metadata:
             raise CliConfigError("file %s: the %s metadata has no %s"
                                  % (result_path, command, opt.key))
-        cfg[opt.key] = metadata[opt.key]
-    return _run(cfg, out_path)
+    return _run(metadata, out_path)
 
 
 def _emit_plot(data_path, rf: ResultFile) -> None:
@@ -382,12 +386,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=_SUMMARIES[command])
         for opt in options:
             if opt.type is bool:
-                p.add_argument(_flag_name(opt.key), action="store_true", help=opt.help)
+                p.add_argument(_flag_name(opt.key), action="store_const", const="true",
+                               default="false", help=opt.help)
                 continue
             required = opt.default is _REQUIRED
-            # the text is kept as typed: _values converts and checks it
+            # every value is text, kept as typed: _values converts and checks it
             p.add_argument(_flag_name(opt.key), required=required,
-                           default=None if required else opt.default, help=opt.help,
+                           default=None if required else _text(opt.default), help=opt.help,
                            metavar="{%s}" % ",".join(opt.choices) if opt.choices else None)
         p.add_argument("--output", required=True, help="result CSV path")
         if command in _PLOTTED:
@@ -402,12 +407,7 @@ def main(argv=None) -> int:
         if args.command == "replay":
             result = replay(args.input, args.output)
         else:
-            cfg = {"command": args.command}
-            cfg.update((opt.key, _text(getattr(args, opt.key)))
-                       for opt in _OPTIONS[args.command])
-            # echo and write each value as converted, so --r 0.20 writes r = 0.2
-            cfg.update((key, _text(value)) for key, value in _values(cfg).items())
-            result = _run(cfg, args.output)
+            result = _run(vars(args), args.output)
         print("wrote %s" % (args.output,))
         if getattr(args, "emit_plot", False):
             _emit_plot(args.output, result)

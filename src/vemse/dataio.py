@@ -8,15 +8,15 @@ decimal that round-trips, so replayed runs are bit-faithful.
 
 The *_to_resultfile converters write the metadata their caller passes;
 the curve, ensemble and timing ones add only a "kind" key (curves also
-"has_negative"), no description of the run of their own. The CLI passes its full option
-config, which is what replay reads back. Only curves have a reader back
+"has_negative"), and the record one the record's "sample_rate_hz" when it
+has one; none adds a description of the run of its own. The CLI passes
+its full option config, which is what replay reads back. Only curves have a reader back
 to their object (curve_from_resultfile); ensemble and timing files are
 read as plain tables with read_result.
 """
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass, field
 from itertools import islice
@@ -156,19 +156,18 @@ def read_result(path) -> ResultFile:
 
 # -- record files (raw multichannel samples) --------------------------------
 
-def record_to_resultfile(channels: np.ndarray, labels=None, metadata=None) -> ResultFile:
-    """A (P, N) sample array as a table: one column per channel, one row per sample."""
-    labels = labels or ["ch%d" % c for c in range(channels.shape[0])]
-    return ResultFile(metadata=dict(metadata or {}), columns=list(labels),
-                      rows=channels.T.tolist())
+def record_to_resultfile(series: MultichannelSeries, metadata=None) -> ResultFile:
+    """A record as a table under the caller's metadata plus its sample_rate_hz, if any."""
+    md = dict(metadata or {})
+    if series.sample_rate_hz is not None:
+        md["sample_rate_hz"] = repr(float(series.sample_rate_hz))
+    labels = series.channel_labels or ["ch%d" % c for c in range(series.n_channels)]
+    return ResultFile(metadata=md, columns=list(labels), rows=series.channels.T.tolist())
 
 
 def write_record(series: MultichannelSeries, path) -> None:
     """Write a multichannel record: one column per channel, one row per sample."""
-    metadata = {}
-    if series.sample_rate_hz is not None:
-        metadata["sample_rate_hz"] = repr(float(series.sample_rate_hz))
-    write_result(record_to_resultfile(series.channels, series.channel_labels, metadata), path)
+    write_result(record_to_resultfile(series), path)
 
 
 # A record cell: an ASCII decimal number, sign and exponent optional.
@@ -235,12 +234,12 @@ def load_record(path, columns=None, max_rows=None, offset: int = 0) -> Multichan
     raises RecordParseError, and so does a "# sample_rate_hz" line whose
     value is not such a decimal, finite and > 0, and a label in columns
     naming no column or several. A leading UTF-8 byte order mark is dropped.
+    A path that cannot be opened, missing or a directory, raises VemseError
+    naming it.
     """
     if offset < 0 or (max_rows is not None and max_rows < 1):
         raise InvalidParameterError(
             "need offset >= 0 and max_rows >= 1, got %r and %r" % (offset, max_rows))
-    if not os.path.exists(path):
-        raise VemseError("no such record file: %s" % (path,))
     metadata, labels, lines = _read_table(path, None if max_rows is None else offset + max_rows)
     if not lines:
         raise RecordParseError("%s: no data rows" % (path,))

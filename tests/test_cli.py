@@ -1,5 +1,7 @@
 """CLI behaviour: exit codes, determinism, config echo, replay."""
 import argparse
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +16,18 @@ from vemse import (
     resolve_tolerance,
     write_record,
 )
-from vemse.cli import CliConfigError, _build_parser, main, parse_values, replay
+import vemse.cli
+import vemse.dataio
+from vemse.cli import (
+    _OPTIONS,
+    CliConfigError,
+    _build_parser,
+    _columns,
+    _items,
+    main,
+    parse_values,
+    replay,
+)
 
 from oracles import naive_mmse
 
@@ -62,6 +75,34 @@ class TestParseValues:
                 parse_values(spec)
         assert parse_values(" 1 .. 3 ") == [1, 2, 3]
         assert parse_values(" 0.5 , 2 ") == [0.5, 2]
+
+    def test_empty_items_and_two_part_grids(self):
+        assert parse_values("1,,2") == [1, 2]
+        for spec in ("", ",", " , "):
+            with pytest.raises(CliConfigError, match="empty value list"):
+                parse_values(spec)
+        with pytest.raises(CliConfigError, match="expected start:step:stop"):
+            parse_values("1:2")
+
+    @pytest.mark.parametrize("spec", ["1..99999999999999999999", "1..10000000000000",
+                                      "0:1e-300:1e300", "0:1e-12:1e12"])
+    def test_lists_past_the_bound_are_refused_unbuilt(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CliConfigError, match="holds more than 1000000 values"):
+                parse_values(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_the_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(vemse.cli, "_MAX_VALUES", 5)
+        assert parse_values("1..5") == [1, 2, 3, 4, 5]
+        assert parse_values("0:0.25:1") == [0.0, 0.25, 0.5, 0.75, 1.0]
+        for spec in ("1..6", "0:0.2:1"):
+            with pytest.raises(CliConfigError, match="holds more than 5 values"):
+                parse_values(spec)
 
 
 class TestCompute:
@@ -111,6 +152,29 @@ class TestCompute:
                               "--output", str(tmp_path / "x.csv"))
         assert code == 2
         assert "--offset" in stderr
+
+    @pytest.mark.parametrize("argv, want, message", [
+        (["--columns", "5"], 3, "column index 5 out of range"),
+        (["--offset", "400"], 3, "selection leaves no samples"),
+        (["--scales", "1:2"], 2, "--scales: bad range '1:2': expected start:step:stop"),
+    ], ids=["column-past-the-last", "offset-past-the-last-row", "two-part-grid"])
+    def test_selection_and_scale_edges_exit_cleanly(self, record, tmp_path, capsys, argv,
+                                                     want, message):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(capsys, "compute", "--input", str(record), *argv,
+                              "--output", str(out))
+        assert code == want
+        assert stderr.startswith("error: ") and message in stderr and stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["missing.csv", ""], ids=["missing", "directory"])
+    def test_unreadable_record_exits_3_naming_it(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        code, _, stderr = run(capsys, "compute", "--input", str(path),
+                              "--output", str(tmp_path / "x.csv"))
+        assert code == 3
+        assert stderr.startswith("error: cannot read %s: " % (path,))
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
 
     def test_single_channel_vemse_equals_mse(self, tmp_path, capsys):
         rec = tmp_path / "one.csv"
@@ -411,6 +475,17 @@ class TestSweepAndBench:
         assert stderr == "error: %s\n" % (message,)
         assert not out.exists()
 
+    def test_empty_value_items(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--vary", "m", "--models", "wgn", "--n", "100", "--realizations", "1",
+                "--output", str(out)]
+        code, _, stderr = run(capsys, *argv, "--values", ",")
+        assert (code, stderr) == (2, "error: --values: empty value list ','\n")
+        assert not out.exists()
+        assert run(capsys, *argv, "--values", "1,,2")[0] == 0
+        rf = read_result(out)
+        assert (rf.metadata["values"], [row[1] for row in rf.rows]) == ("1,,2", [1, 2])
+
     def test_bench_writes_timing(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code, _, _ = run(capsys, "bench", "--vary", "channels", "--values", "2,3",
@@ -450,6 +525,18 @@ class TestReplay:
                          "--output", str(replayed))
         assert code == 0
         assert record.read_bytes() == replayed.read_bytes()
+
+    def test_replay_parses_no_data_row(self, record, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "curve.csv"
+        assert run(capsys, "compute", "--input", str(record), "--output", str(out))[0] == 0
+
+        def refuse(cell):
+            raise AssertionError("replay parsed the data cell %r" % (cell,))
+
+        monkeypatch.setattr(vemse.dataio, "_parse_cell", refuse)
+        replayed = tmp_path / "replayed.csv"
+        replay(out, replayed)
+        assert out.read_bytes() == replayed.read_bytes()
 
     def test_non_replayable_file(self, tmp_path, capsys):
         path = tmp_path / "plain.csv"
@@ -613,8 +700,9 @@ class TestConfigEdges:
          "--r must be finite and > 0"),
         (["compute", "--input", "in.csv", "--r", "0x1p-3"], "--r must be finite and > 0"),
         (["compute", "--input", "in.csv", "--columns", "\u0661,0"], "--columns: "),
+        (["compute", "--input", "in.csv", "--columns", "1" * 5000], "--columns: "),
     ], ids=["underscore", "arabic-digit", "padded", "too-many-digits", "float-underscore",
-            "hex-float", "arabic-index"])
+            "hex-float", "arabic-index", "too-many-digits-index"])
     def test_numbers_follow_one_ascii_grammar(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x.csv"
         code, stdout, stderr = run(capsys, *argv, "--output", str(out))
@@ -644,6 +732,26 @@ class TestConfigEdges:
         assert code == 2
         assert "whole numbers" in stderr
         assert not out.exists()
+
+    def test_overflowing_generated_samples_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+            code, _, stderr = run(capsys, "generate", "--kind", "wgn", "--n", "100",
+                                  "--sd", "1e308", "--output", str(out))
+        assert (code, stderr) == (2, "error: channels contain non-finite samples\n")
+        assert not out.exists()
+
+    def test_replayed_values_are_echoed_and_written_as_converted(self, tmp_path, capsys):
+        path = tmp_path / "gen.csv"
+        assert run(capsys, "generate", "--kind", "wgn", "--n", "20", "--output", str(path))[0] == 0
+        original = path.read_bytes()
+        path.write_text(path.read_text().replace("# n = 20\n", "# n = 020\n"))
+        redo = tmp_path / "redo.csv"
+        code, stdout, _ = run(capsys, "replay", "--input", str(path), "--output", str(redo))
+        assert code == 0
+        assert ("n", "20") in echoed(stdout)
+        assert redo.read_bytes() == original
 
     def test_replayed_tau_below_1_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
@@ -741,3 +849,51 @@ class TestRecordContract:
         replayed = tmp_path / "replayed.csv"
         assert run(capsys, "replay", "--input", str(out), "--output", str(replayed))[0] == 0
         assert replayed.read_bytes() == out.read_bytes()
+
+
+# A malformed value for each type of option in _OPTIONS; a new type needs one here.
+_MALFORMED = {int: "x", float: "x", str: "x", parse_values: "1..x", _items: "x",
+              _columns: "\u0661"}
+# What each subcommand needs on its command line besides --input
+_LEAST = {"compute": [], "surrogate": [], "generate": ["--kind", "wgn", "--n", "10"],
+          "sweep": ["--vary", "r", "--values", "0.3"], "bench": ["--vary", "N", "--values", "100"]}
+
+
+class TestOptionsCheckedFirst:
+    """Every option is converted and checked before the echo and before the record is read."""
+
+    def run_on_a_malformed_record(self, tmp_path, capsys, command, *argv):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1,oops\n")
+        if any(opt.key == "input" for opt in _OPTIONS[command]):
+            argv += ("--input", str(bad))
+        out = tmp_path / "out.csv"
+        code, stdout, stderr = run(capsys, command, *_LEAST[command], *argv,
+                                   "--output", str(out))
+        assert "config:" not in stdout and not out.exists()
+        return code, stderr
+
+    @pytest.mark.parametrize("command, opt", [
+        pytest.param(command, opt, id="%s-%s" % (command, opt.key))
+        for command, options in _OPTIONS.items() for opt in options
+        # a flag takes no value, and a path is checked when it is opened
+        if opt.type is not bool and (opt.type is not str or opt.choices)])
+    def test_a_malformed_value_exits_2_naming_its_flag(self, tmp_path, capsys, command, opt):
+        flag = "--" + opt.key.replace("_", "-")
+        code, stderr = self.run_on_a_malformed_record(tmp_path, capsys, command, flag,
+                                                      _MALFORMED[opt.type])
+        assert code == 2
+        assert re.match(r"error: %s[ :]" % re.escape(flag), stderr)
+        assert stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command, argv", [
+        ("compute", ["--scales", "1..x"]),
+        ("compute", ["--estimator", " vemse"]),
+        ("compute", ["--tolerance-mode", "absolute "]),
+        ("sweep", ["--vary", " r"]),
+        ("sweep", ["--values", "0.1:x:1"]),
+    ], ids=["bad-scales", "padded-estimator", "padded-mode", "padded-vary", "bad-grid"])
+    def test_an_option_error_wins_over_a_record_error(self, tmp_path, capsys, command, argv):
+        code, stderr = self.run_on_a_malformed_record(tmp_path, capsys, command, *argv)
+        assert code == 2
+        assert stderr.startswith("error: " + argv[0])

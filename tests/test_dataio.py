@@ -24,6 +24,7 @@ from vemse.dataio import (
     curve_from_resultfile,
     curve_to_resultfile,
     ensemble_to_resultfile,
+    record_to_resultfile,
     timing_to_resultfile,
 )
 from vemse.experiments import EnsembleResult, TimingReport
@@ -149,6 +150,13 @@ class TestRecords:
         assert back.channel_labels == ["ew", "ns", "vert"]
         assert back.sample_rate_hz == 50.0
         assert np.array_equal(back.channels, series.channels)
+
+    def test_record_metadata_is_the_callers_then_the_rate(self):
+        series = MultichannelSeries(np.zeros((2, 3)), sample_rate_hz=50)
+        rf = record_to_resultfile(series, {"command": "surrogate"})
+        assert rf.metadata == {"command": "surrogate", "sample_rate_hz": "50.0"}
+        assert rf.columns == ["ch0", "ch1"] and rf.rows == [[0.0, 0.0]] * 3
+        assert record_to_resultfile(MultichannelSeries(np.zeros(3))).metadata == {}
 
     def test_shape(self, tmp_path):
         path = self.make_record(tmp_path, "a,b,c\n1,2,3\n4,5,6\n7,8,9\n1,1,1\n2,2,2\n")
@@ -276,6 +284,8 @@ class TestRecordParseErrors:
         ("a,b\n 7,1\n", {}, "row 1, column 1: not a finite number: ' 7'$"),
         ("a,b\n7 ,1\n", {"max_rows": 5}, "row 1, column 1: not a finite number: '7 '$"),
         ("a,b\n1,2\n \n", {}, "row 2 has 1 values, expected 2$"),
+        ("a,b\n1,2\n", {"columns": [2]}, "column index 2 out of range$"),
+        ("a,b\n1,2\n3,4\n", {"offset": 2}, "selection leaves no samples$"),
     ])
     def test_message(self, tmp_path, text, kwargs, message):
         path = tmp_path / "bad.csv"

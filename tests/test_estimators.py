@@ -164,6 +164,17 @@ class TestMmse:
             mmse(data, [2, 2], scales=range(1, 42))
         assert calls == []
 
+    @pytest.mark.parametrize("dims, lags, message", [
+        ([2], None, "dims must list a positive dimension per channel"),
+        ([2, 0], None, "dims must list a positive dimension per channel"),
+        ([2, 2], [1, 0], "lags must list a positive lag per channel"),
+        ([2, 2], [1], "lags must list a positive lag per channel"),
+    ], ids=["one-dim-too-few", "zero-dim", "zero-lag", "one-lag-too-few"])
+    def test_dims_and_lags_per_channel(self, dims, lags, message):
+        data = MultichannelSeries(np.random.default_rng(0).standard_normal((2, 40)))
+        with pytest.raises(InvalidParameterError, match=message):
+            mmse(data, dims, lags=lags)
+
     @pytest.mark.parametrize("scales", [[], [3, 1], [2, 2]])
     def test_same_scale_refusals_as_vemse(self, scales):
         data = MultichannelSeries(np.random.default_rng(0).standard_normal((2, 40)))
