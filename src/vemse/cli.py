@@ -1,7 +1,8 @@
 """Command-line front end: compute, sweep, generate, bench, surrogate, replay.
 
-Each subcommand's options are declared once, in _OPTIONS; the flags, the
-echoed configuration, the metadata and replay all derive from it. Every
+Each subcommand is declared once, in _COMMANDS: its help line, its
+options and its --emit-plot lines. The flags, the echoed configuration,
+the metadata, replay and the plot script all derive from it. Every
 run converts and checks all its options once, before any work, prints
 its fully resolved configuration (defaults included), writes its data
 in the CSV result format, and is byte-for-byte reproducible given an
@@ -153,18 +154,28 @@ _RECORD = (
     _Opt("offset", int, 0, low=0),
 )
 
-# Each subcommand's options, in the order they are echoed and written as
-# metadata. Every subcommand also takes --output, which is not replayed.
-_OPTIONS = {
-    "compute": (_ESTIMATOR,) + _RECORD + (
+
+class _Command(NamedTuple):
+    """One subcommand: its help line, its options in the order they are echoed
+    and written as metadata (it also takes --output, which is not replayed),
+    and the lines --emit-plot writes after the script's header, each
+    formatted with the output path; a command with none has no --emit-plot."""
+
+    help: str
+    options: tuple
+    plot: tuple = ()
+
+
+_COMMANDS = {
+    "compute": _Command("compute an entropy curve from a record file", (_ESTIMATOR,) + _RECORD + (
         _M, _R, _L,
         _Opt("scales", parse_values, "1", "scale list, e.g. 1..20"),
         _Opt("tolerance_mode", str, "covariance_trace", choices=ToleranceRule.MODES),
         _Opt("normalize", bool, False),
         _Opt("per_scale_tolerance", bool, False),
         _Opt("equal_template_count", bool, False),
-    ),
-    "sweep": (
+    ), ("plot '{0}' using 1:2 with linespoints title 'entropy'",)),
+    "sweep": _Command("ensemble parameter sweep on synthetic models", (
         _ESTIMATOR,
         _Opt("vary", str, choices=experiments.SWEPT_PARAMETERS),
         _Opt("values", parse_values),
@@ -175,16 +186,17 @@ _OPTIONS = {
         _Opt("tau", int, 1, "fixed scale when not swept", low=1),
         _Opt("realizations", int, 20, low=1),
         _SEED,
-    ),
-    "generate": (
+    ), ("# one block per model; filter externally or plot mean vs sweep_value",
+        "plot '{0}' using 2:3:4 with yerrorlines title 'mean±std'")),
+    "generate": _Command("write a synthetic record file", (
         _Opt("kind", str, choices=experiments.MODEL_KINDS),
         _Opt("n", int, low=1),
         _Opt("sd", float, 1.0, low=0),
         _SEED,
         _Opt("channels", int, 1, low=1),
-    ),
-    "surrogate": _RECORD + (_SEED,),
-    "bench": (
+    )),
+    "surrogate": _Command("shuffle-surrogate of a record file", _RECORD + (_SEED,)),
+    "bench": _Command("vemse vs mmse wall-clock benchmark", (
         _Opt("vary", str, choices=experiments.TIMED_PARAMETERS),
         _Opt("values", parse_values),
         _Opt("n", int, 5000, low=1),
@@ -194,19 +206,11 @@ _OPTIONS = {
         _R,
         _Opt("runs", int, 10, low=1),
         _SEED,
-    ),
-    "replay": (_Opt("input", str, help="result CSV to re-run"),),
+    ), ("plot '{0}' using 1:2 with linespoints title 'vemse', \\",
+        "     '{0}' using 1:4 with linespoints title 'mmse'")),
+    "replay": _Command("re-run a result file from its metadata",
+                       (_Opt("input", str, help="result CSV to re-run"),)),
 }
-
-_SUMMARIES = {
-    "compute": "compute an entropy curve from a record file",
-    "sweep": "ensemble parameter sweep on synthetic models",
-    "generate": "write a synthetic record file",
-    "surrogate": "shuffle-surrogate of a record file",
-    "bench": "vemse vs mmse wall-clock benchmark",
-    "replay": "re-run a result file from its metadata",
-}
-_PLOTTED = ("compute", "sweep", "bench")
 
 
 def _flag_name(key: str) -> str:
@@ -230,7 +234,7 @@ def _values(cfg: dict):
     r = 0.2), a list option as typed, unpadded.
     """
     values, text = {}, {"command": cfg["command"]}
-    for opt in _OPTIONS[cfg["command"]]:
+    for opt in _COMMANDS[cfg["command"]].options:
         flag, raw = _flag_name(opt.key), cfg[opt.key]
         if opt.type is bool:
             if raw not in ("true", "false"):
@@ -298,7 +302,8 @@ def run_sweep(values: dict, cfg: dict) -> ResultFile:
 
 def run_generate(values: dict, cfg: dict) -> ResultFile:
     bundle = experiments.ModelBundle.homogeneous(values["kind"], values["channels"])
-    data = values["sd"] * experiments.realize_bundle(bundle, values["n"], values["seed"], 0)
+    with np.errstate(over="ignore"):  # MultichannelSeries refuses the non-finite samples
+        data = values["sd"] * experiments.realize_bundle(bundle, values["n"], values["seed"], 0)
     return record_to_resultfile(MultichannelSeries(data), metadata=cfg)
 
 
@@ -349,26 +354,18 @@ def replay(result_path, out_path) -> ResultFile:
     command = metadata.get("command")
     if command not in _RUNNERS:
         raise CliConfigError("file %s has no replayable command metadata" % (result_path,))
-    for opt in _OPTIONS[command]:
+    for opt in _COMMANDS[command].options:
         if opt.key not in metadata:
             raise CliConfigError("file %s: the %s metadata has no %s"
                                  % (result_path, command, opt.key))
     return _run(metadata, out_path)
 
 
-def _emit_plot(data_path, rf: ResultFile) -> None:
-    """Write a gnuplot script next to the data file."""
+def _emit_plot(data_path, command: str) -> None:
+    """Write a gnuplot script of the command's plot lines next to the data file."""
     script = data_path + ".gp"
-    kind = rf.metadata.get("kind", "")
     lines = ['set datafile separator ","', "set key autotitle columnhead"]
-    if kind == "ensemble":
-        lines += ["# one block per model; filter externally or plot mean vs sweep_value",
-                  "plot '%s' using 2:3:4 with yerrorlines title 'mean±std'" % (data_path,)]
-    elif kind == "timing":
-        lines += ["plot '%s' using 1:2 with linespoints title 'vemse', \\" % (data_path,),
-                  "     '%s' using 1:4 with linespoints title 'mmse'" % (data_path,)]
-    else:
-        lines += ["plot '%s' using 1:2 with linespoints title 'entropy'" % (data_path,)]
+    lines += [line.format(data_path) for line in _COMMANDS[command].plot]
     with open(script, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     print("wrote %s" % (script,))
@@ -382,9 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
                "(inclusive), or comma-separated values.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in _OPTIONS.items():
-        p = sub.add_parser(command, help=_SUMMARIES[command])
-        for opt in options:
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for opt in spec.options:
             if opt.type is bool:
                 p.add_argument(_flag_name(opt.key), action="store_const", const="true",
                                default="false", help=opt.help)
@@ -395,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            default=None if required else _text(opt.default), help=opt.help,
                            metavar="{%s}" % ",".join(opt.choices) if opt.choices else None)
         p.add_argument("--output", required=True, help="result CSV path")
-        if command in _PLOTTED:
+        if spec.plot:
             p.add_argument("--emit-plot", action="store_true",
                            help="also write a gnuplot script next to the output")
     return parser
@@ -405,12 +402,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "replay":
-            result = replay(args.input, args.output)
+            replay(args.input, args.output)
         else:
-            result = _run(vars(args), args.output)
+            _run(vars(args), args.output)
         print("wrote %s" % (args.output,))
         if getattr(args, "emit_plot", False):
-            _emit_plot(args.output, result)
+            _emit_plot(args.output, args.command)
         return 0
     except (CliConfigError, InvalidParameterError, DegenerateToleranceError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)

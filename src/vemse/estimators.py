@@ -473,7 +473,8 @@ def _zscore(chans: np.ndarray) -> np.ndarray:
     # an overflow is reported by the check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         mean = chans.mean(axis=1, keepdims=True)
-        sd = chans.std(axis=1, ddof=1, keepdims=True)
+        # one sample has no spread: it is centred and scaled as a constant channel is
+        sd = chans.std(axis=1, ddof=1, keepdims=True) if chans.shape[1] > 1 else 1.0
     if not np.all(np.isfinite(sd)):
         raise DegenerateToleranceError("channel variance overflows (samples too large)")
     sd = np.where(sd > 0, sd, 1.0)

@@ -146,6 +146,8 @@ class SweepSpec:
         self.base_seed = whole_number(self.base_seed, "base_seed")
         if self.realizations < 1:
             raise InvalidParameterError("realizations must be >= 1")
+        if self.base_seed < 0:
+            raise InvalidParameterError("base_seed must be >= 0")
         # each point's parameters, refused with the estimators' own message
         # (r must be > 0, m must be >= 1, ...) before anything is drawn
         vary = self.swept_parameter
@@ -326,26 +328,29 @@ def directionality_study(
     "b|a", computed from the same underlying realizations so the only
     difference between the rows is the input order. A pair of one kind,
     or a pair listed with its reversal, would repeat a row name and is
-    refused.
+    refused. Every parameter is checked, as a vemse scale sweep over the
+    forward and reversed bundles, before anything is drawn.
     """
     pairs = [tuple(p) for p in pairs]
     if any(len(p) != 2 for p in pairs):
         raise InvalidParameterError("each pair must name exactly 2 channels")
-    if realizations < 1:
-        raise InvalidParameterError("realizations must be >= 1")
-    names = [("%s|%s" % (a, b), "%s|%s" % (b, a)) for a, b in pairs]
-    _check_unique([name for pair in names for name in pair])
-    scales = list(scales) if scales is not None else list(range(1, 21))
-
-    rows = []
-    for (a, b), (fwd_name, rev_name) in zip(pairs, names):
-        draws = [realize_bundle(ModelBundle(fwd_name, [a, b]), n_samples, base_seed, k)
-                 for k in range(realizations)]
+    spec = SweepSpec(
+        estimator="vemse", swept_parameter="scale",
+        sweep_values=list(scales) if scales is not None else list(range(1, 21)),
+        bundles=[ModelBundle("%s|%s" % kinds, list(kinds))
+                 for pair in pairs for kinds in (pair, pair[::-1])],
+        m=m, r=r, lag=lag, n_samples=n_samples, realizations=realizations,
+        base_seed=base_seed,
+    )
+    scales, rows = spec.sweep_values, []
+    for fwd_bundle, rev_bundle in zip(spec.bundles[::2], spec.bundles[1::2]):
+        draws = [realize_bundle(fwd_bundle, spec.n_samples, spec.base_seed, k)
+                 for k in range(spec.realizations)]
         fwd = [_estimate_curve("vemse", chans, m, r, lag, scales).values for chans in draws]
         rev = [_estimate_curve("vemse", chans[::-1], m, r, lag, scales).values
                for chans in draws]
-        rows += [(fwd_name, list(zip(*fwd))), (rev_name, list(zip(*rev)))]
-    return _ensemble(rows, scales, realizations)
+        rows += [(fwd_bundle.name, list(zip(*fwd))), (rev_bundle.name, list(zip(*rev)))]
+    return _ensemble(rows, scales, spec.realizations)
 
 
 @dataclass
@@ -386,8 +391,11 @@ def timing_benchmark(
     n_samples = whole_number(n_samples, "n_samples")
     channels = whole_number(channels, "channels")
     runs = whole_number(runs, "runs")
+    base_seed = whole_number(base_seed, "base_seed")
     if runs < 1:
         raise InvalidParameterError("runs must be >= 1")
+    if base_seed < 0:
+        raise InvalidParameterError("base_seed must be >= 0")
     ve_mean, ve_med, mm_mean, mm_med = [], [], [], []
     for v in values:
         n = int(v) if vary == "N" else n_samples

@@ -19,7 +19,7 @@ from vemse import (
 import vemse.cli
 import vemse.dataio
 from vemse.cli import (
-    _OPTIONS,
+    _COMMANDS,
     CliConfigError,
     _build_parser,
     _columns,
@@ -318,6 +318,19 @@ class TestCompute:
         assert "wrote %s.gp" % (out,) in stdout
         script = (tmp_path / "c.csv.gp").read_text(encoding="utf-8").splitlines()
         assert plot.format(out) in script
+
+
+    def test_emit_plot_writes_the_path_as_given(self, tmp_path, capsys):
+        # the path is the argument of each plot line, never its template
+        out = tmp_path / "s%s{0}%.csv"
+        code, _, _ = run(capsys, "sweep", "--vary", "r", "--values", "0.3", "--models", "wgn",
+                         "--n", "100", "--realizations", "1", "--output", str(out),
+                         "--emit-plot")
+        assert code == 0
+        assert (tmp_path / "s%s{0}%.csv.gp").read_text(encoding="utf-8").splitlines() == [
+            'set datafile separator ","', "set key autotitle columnhead",
+            "# one block per model; filter externally or plot mean vs sweep_value",
+            "plot '%s' using 2:3:4 with yerrorlines title 'mean±std'" % (out,)]
 
 
 class TestMmseLag:
@@ -742,6 +755,36 @@ class TestConfigEdges:
         assert (code, stderr) == (2, "error: channels contain non-finite samples\n")
         assert not out.exists()
 
+    def test_overflowing_generated_samples_print_one_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would print before the error
+            code, _, stderr = run(capsys, "generate", "--kind", "wgn", "--n", "100",
+                                  "--sd", "1e308", "--output", str(out))
+        assert (code, stderr) == (2, "error: channels contain non-finite samples\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--estimator", "mmse"], 2),
+        (["--normalize"], 2),
+        (["--normalize", "--tolerance-mode", "covariance_trace"], 2),
+        (["--normalize", "--tolerance-mode", "absolute"], 0),
+        (["--estimator", "mmse", "--tolerance-mode", "absolute"], 0),
+    ], ids=["mmse", "normalize", "normalize-trace", "normalize-absolute", "mmse-absolute"])
+    def test_a_one_row_record_is_z_scored_without_blame(self, tmp_path, capsys, argv, want):
+        rec, out = tmp_path / "one.csv", tmp_path / "x.csv"
+        rec.write_text("a,b\n1.0,2.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, stderr = run(capsys, "compute", "--input", str(rec), *argv,
+                                  "--output", str(out))
+        assert code == want
+        if code:
+            assert stderr == "error: covariance_trace tolerance needs >= 2 samples per channel\n"
+            assert not out.exists()
+        else:
+            assert stderr == "" and read_result(out).rows == [[1, None, None, None]]
+
     def test_replayed_values_are_echoed_and_written_as_converted(self, tmp_path, capsys):
         path = tmp_path / "gen.csv"
         assert run(capsys, "generate", "--kind", "wgn", "--n", "20", "--output", str(path))[0] == 0
@@ -851,7 +894,7 @@ class TestRecordContract:
         assert replayed.read_bytes() == out.read_bytes()
 
 
-# A malformed value for each type of option in _OPTIONS; a new type needs one here.
+# A malformed value for each type of option in _COMMANDS; a new type needs one here.
 _MALFORMED = {int: "x", float: "x", str: "x", parse_values: "1..x", _items: "x",
               _columns: "\u0661"}
 # What each subcommand needs on its command line besides --input
@@ -865,7 +908,7 @@ class TestOptionsCheckedFirst:
     def run_on_a_malformed_record(self, tmp_path, capsys, command, *argv):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,oops\n")
-        if any(opt.key == "input" for opt in _OPTIONS[command]):
+        if any(opt.key == "input" for opt in _COMMANDS[command].options):
             argv += ("--input", str(bad))
         out = tmp_path / "out.csv"
         code, stdout, stderr = run(capsys, command, *_LEAST[command], *argv,
@@ -875,7 +918,7 @@ class TestOptionsCheckedFirst:
 
     @pytest.mark.parametrize("command, opt", [
         pytest.param(command, opt, id="%s-%s" % (command, opt.key))
-        for command, options in _OPTIONS.items() for opt in options
+        for command, spec in _COMMANDS.items() for opt in spec.options
         # a flag takes no value, and a path is checked when it is opened
         if opt.type is not bool and (opt.type is not str or opt.choices)])
     def test_a_malformed_value_exits_2_naming_its_flag(self, tmp_path, capsys, command, opt):

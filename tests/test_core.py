@@ -8,13 +8,20 @@ import pytest
 
 from vemse import (
     AR2,
+    ArModel,
     DegenerateToleranceError,
+    EntropyCurve,
     EntropyParams,
     InvalidParameterError,
+    ModelBundle,
     MultichannelSeries,
+    SweepSpec,
     ToleranceRule,
     coarse_grain,
     generate_ar,
+    generate_flicker,
+    generate_wgn,
+    mix_noise,
     mmse,
     mse,
     resolve_tolerance,
@@ -23,7 +30,7 @@ from vemse import (
 )
 from vemse import estimators
 from vemse.estimators import _band_counts, _pair_counts, _sort_channel, _sweep_counts
-from vemse.experiments import ModelBundle, realize_bundle
+from vemse.experiments import generate_channel, realize_bundle
 from oracles import naive_counts, naive_sampen, naive_templates, naive_vemse_point
 
 
@@ -393,3 +400,40 @@ class TestSeriesTypes:
                                   channel_labels=["a", "b"])
         assert data.channel(0).tolist() == [1.0, 2.0]
         assert data.channel_labels == ["a", "b"]
+
+
+_WGN = [ModelBundle.homogeneous("wgn")]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ModelBundle("empty", []), "has no channels"),
+    (lambda: ModelBundle("wgn", ["wgn"], "wgn", -0.1), "noise_ratio must be >= 0"),
+    (lambda: SweepSpec("apen", "r", [0.2], _WGN), "unknown estimator"),
+    (lambda: SweepSpec("vemse", "tau", [1], _WGN), "unknown swept parameter"),
+    (lambda: SweepSpec("vemse", "r", [], _WGN), "sweep_values must be non-empty"),
+    (lambda: SweepSpec("vemse", "r", [0.2, 0.2], _WGN), "strictly increasing"),
+    (lambda: SweepSpec("vemse", "r", [0.2], _WGN, realizations=0), "realizations must be >= 1"),
+    (lambda: SweepSpec("vemse", "r", [0.2], _WGN, base_seed=-1), "base_seed must be >= 0"),
+    (lambda: generate_channel("pink", 10, 0), "unknown signal kind"),
+    (lambda: ArModel((0.5,), innovation_sd=0.0), "innovation_sd must be > 0"),
+    (lambda: ArModel((0.5,), burn_in=-1), "burn_in must be >= 0"),
+    (lambda: generate_wgn(0), "n must be >= 1"),
+    (lambda: generate_flicker(1), "n must be >= 2"),
+    (lambda: generate_flicker(10, sd=0.0), "sd must be > 0"),
+    (lambda: generate_ar(AR2, 0), "n must be >= 1"),
+    (lambda: generate_ar(AR2, 10, target_sd=-1.0), "target_sd must be > 0"),
+    (lambda: mix_noise(np.ones(3), np.ones(4), 0.5), "equal length"),
+    (lambda: mix_noise(np.ones(3), np.ones(3), -0.5), "amplitude_ratio must be >= 0"),
+    (lambda: MultichannelSeries(np.eye(2, 5), channel_labels=["a"]), "channel_labels length"),
+    (lambda: MultichannelSeries(np.eye(2, 5), sample_rate_hz=0.0), "must be positive"),
+    (lambda: ToleranceRule("relative", 0.2), "unknown tolerance mode"),
+    (lambda: EntropyCurve([1, 2], [0.5]), "length mismatch"),
+    (lambda: resolve_tolerance(np.ones((2, 1)), ToleranceRule.trace(0.2)), ">= 2 samples"),
+], ids=["bundle-no-channels", "bundle-noise-ratio", "sweep-estimator", "sweep-parameter",
+        "sweep-no-values", "sweep-not-increasing", "sweep-realizations", "sweep-seed",
+        "channel-kind", "ar-innovation-sd", "ar-burn-in", "wgn-n", "flicker-n", "flicker-sd",
+        "ar-n", "ar-target-sd", "mix-lengths", "mix-ratio", "series-labels", "series-rate",
+        "rule-mode", "curve-lengths", "trace-one-sample"])
+def test_invalid_parameters_raise(make, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        make()

@@ -1,4 +1,6 @@
 """Behavioural tests for the multiscale estimators."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,30 @@ class TestVemse:
         raw = vemse(data, params).values[0]
         norm = vemse(data, params, normalize=True).values[0]
         assert raw != norm
+
+
+class TestOneSample:
+    """A one-sample record is z-scored like a constant channel, with no warning."""
+
+    @pytest.mark.parametrize("estimate", [
+        lambda data, rule: vemse(data, EntropyParams(), rule, normalize=True),
+        lambda data, rule: mmse(data, [2, 2], rule),
+    ], ids=["vemse-normalize", "mmse"])
+    def test_trace_rule_refused_absolute_rule_undefined(self, estimate):
+        data = MultichannelSeries(np.array([[1.0], [2.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=">= 2 samples per channel"):
+                estimate(data, ToleranceRule.trace(0.15))
+            curve = estimate(data, ToleranceRule.absolute(0.5))
+        assert curve.values == [None] and curve.probs == [None]
+
+    def test_two_samples_and_more_scale_by_the_sample_sd(self):
+        chans = np.array([[1.0, 4.0, 2.5], [-3.0, 0.5, 8.0]])
+        for n in (2, 3):
+            want = (chans[:, :n] - chans[:, :n].mean(axis=1, keepdims=True)) \
+                / chans[:, :n].std(axis=1, ddof=1, keepdims=True)
+            assert estimators._zscore(chans[:, :n]).tobytes() == want.tobytes()
 
 
 class TestMse:

@@ -243,6 +243,43 @@ class TestDirectionality:
         assert res.mean[1] == vemse(MultichannelSeries(chans[::-1].copy()), params).values
 
 
+class TestLibraryParametersRefused:
+    """Each study refuses a bad parameter with InvalidParameterError before any draw."""
+
+    @pytest.mark.parametrize("study", [
+        lambda seed: run_sweep(SweepSpec("vemse", "r", [0.2], [ModelBundle.homogeneous("wgn")],
+                                         n_samples=50, realizations=1, base_seed=seed)),
+        lambda seed: noise_robustness_study(n_samples=50, scales=[1], realizations=1,
+                                            base_seed=seed),
+        lambda seed: directionality_study([("wgn", "ar1")], n_samples=50, scales=[1],
+                                          realizations=1, base_seed=seed),
+        lambda seed: timing_benchmark("N", [50], n_samples=50, runs=1, base_seed=seed),
+    ], ids=["sweep", "noise", "directionality", "timing"])
+    def test_a_negative_seed(self, monkeypatch, study):
+        monkeypatch.setattr(experiments, "realize_bundle", None)
+        with pytest.raises(InvalidParameterError, match="base_seed must be >= 0"):
+            study(-1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(realizations=2.5), "realizations must be a whole number"),
+        (dict(n_samples=100.5), "n_samples must be a whole number"),
+        (dict(base_seed=1.5), "base_seed must be a whole number"),
+        (dict(scales=[3, 1]), "sweep_values must be strictly increasing"),
+        (dict(r=0), "r must be > 0"),
+    ], ids=["realizations", "n_samples", "seed", "scales", "r"])
+    def test_directionality_checks_every_parameter_first(self, monkeypatch, kwargs, message):
+        monkeypatch.setattr(experiments, "realize_bundle", None)
+        with pytest.raises(InvalidParameterError, match=message):
+            directionality_study([("wgn", "ar1")], **{"n_samples": 50, "realizations": 1,
+                                                      **kwargs})
+
+    def test_timing_takes_a_whole_seed(self):
+        with pytest.raises(InvalidParameterError, match="base_seed must be a whole number"):
+            timing_benchmark("N", [50], n_samples=50, runs=1, base_seed=1.5)
+        report = timing_benchmark("N", [50], n_samples=50, runs=1, base_seed=2.0)
+        assert report.values == [50]
+
+
 class TestTiming:
     def test_report_shape_and_positive_times(self):
         report = timing_benchmark("N", [200, 400], n_samples=400, runs=2,

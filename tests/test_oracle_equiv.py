@@ -18,8 +18,8 @@ from vemse import (
     vemse,
 )
 from vemse import estimators
-from vemse.estimators import (_band_counts, _curve_points, _pair_counts, _sort_channel,
-                              _sweep_counts)
+from vemse.estimators import (_band_counts, _cdv_probs, _curve_points, _pair_counts, _prob,
+                              _sort_channel, _sweep_counts)
 from oracles import (
     naive_cdv_pairs,
     naive_coarse_grain,
@@ -400,3 +400,54 @@ def test_rank_test_counts_alike_with_uint32_ranks(d, lag, extra, equal, data):
                                            radius))
                 assert 2 * band[count][0] == 2 * sweep[count][0] == matches
     assert dtype.call_count == 3  # each radius's one sort took the uint32 ranks
+
+
+def _grid_channel(n, half, seed):
+    """n samples on the 0.1 grid between -half/10 and half/10: ties on every value."""
+    return np.random.default_rng(seed).integers(-half, half + 1, n) * 0.1
+
+
+@pytest.mark.parametrize("band", [True, False], ids=["band", "sweep"])
+@pytest.mark.parametrize("radii", [[0.1], [0.05, 0.1, 0.15]], ids=["rank", "float"])
+def test_mmse_walk_and_vemse_counters_count_one_channel_alike(band, radii):
+    # On one channel, mmse's base pass counts the pairs vemse counts at m
+    # with equal, and its bumped pass those vemse counts at m + 1 on the
+    # channel less its last L samples; _prob is one-to-one for a fixed T,
+    # so equal probabilities mean equal counts. The band runs on 65535
+    # samples, where the ranks are uint32 and the walk takes many tiles and
+    # skips, with nothing patched but the counter choice. A forced sweep
+    # visits about n^2 / 2 cells (4.4 s at 65535 samples on 2 CPUs), so it
+    # runs on a shorter channel.
+    n, m, lag = (65535, 2, 1) if band else (6000, 2, 2)
+    y = _grid_channel(n, 200 if band else 40, seed=n)
+    ranks = _sort_channel(y, lag, radii, m, True)[0]
+    assert (ranks is not None) == (len(radii) == 1)
+    if ranks is not None:
+        assert ranks[0].dtype == (np.uint32 if band else np.uint16)
+    t = n - m * lag
+    assert t > 4 * estimators._TILE
+    with mock.patch.object(estimators, "_band_is_cheaper", return_value=band):
+        lo = _pair_counts(y[None], lag, radii, [m], equal=True)[0][:, 0]
+        hi = _pair_counts(y[None, :-lag], lag, radii, [m])[1][:, 0]
+    assert 0 < hi.min() and lo.max() < t * (t - 1) // 2
+    for k, radius in enumerate(radii):
+        assert _cdv_probs(y[None], [m], [lag], radius) == (_prob(lo[k], t),
+                                                            _prob(hi[k], t - lag))
+
+
+@pytest.mark.parametrize("d, lag", [(1, 1), (2, 3), (4, 1)])
+@pytest.mark.parametrize("radii", [[0.2], [0.1, 0.2, 0.3]], ids=["rank", "float"])
+def test_counts_survive_power_of_two_scaling_and_time_reversal(d, lag, radii):
+    # Scaling the samples and the radii by a power of two is exact in
+    # binary floating point, away from overflow and subnormals, and
+    # reversing time maps the templates at each dimension onto templates
+    # at the same distances; neither may change a count of either counter.
+    def counted(y, radii):
+        return np.array(counts(y, lag, radii, d, False)).tolist()  # [counter][lo, hi][radius]
+
+    y = _grid_channel(3000, 30, seed=d)
+    want = counted(y, radii)
+    assert want[0] == want[1] and want[0][1][-1] > 0  # some pairs match at d + 1
+    for power in (-900, -1, 7, 900):
+        assert counted(np.ldexp(y, power), [math.ldexp(r, power) for r in radii]) == want
+    assert counted(y[::-1].copy(), radii) == want
