@@ -17,6 +17,7 @@ Exit status: 0 success (undefined entropy points are still success),
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from typing import NamedTuple
@@ -371,6 +372,7 @@ def _emit_plot(data_path, command: str) -> None:
     print("wrote %s" % (script,))
 
 
+@functools.lru_cache(maxsize=1)  # one build per process; help reads COLUMNS when printed
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vemse",

@@ -16,7 +16,9 @@ own, by one of two exact counters:
 - the diagonal sweep (_sweep_counts) visits every template pair, n^2/2
   whatever the radius: a pair matches at dimension d when its run of
   close samples along the diagonal is long enough, so one sweep counts
-  both dimensions;
+  both dimensions; each block of diagonals ends every row in at least
+  L dead cells (places past the channel's end, never close), so the
+  block's AND chain and counts run on it as one flat array;
 - the band counter (_band_counts) takes the templates in sorted order
   of their first element and visits only the pairs whose first elements
   lie within the largest radius, checking each template element there.
@@ -48,7 +50,7 @@ the P bumped passes checks its one extra coordinate on those pairs.
 mmse stays off the two counters above, where its channels would share
 one match mask and could overtake vemse, against the acceptance timing
 criterion (vemse no slower than mmse); on that criterion's input vemse
-runs about 2.6 times as fast as mmse at two channels and 2.5 times at
+runs about 3.8 times as fast as mmse at two channels and 3.1 times at
 four (BENCH_kernel.json).
 
 Undefined estimates (no matches at dimension m or m+1, or too few
@@ -103,23 +105,34 @@ def resolve_tolerance(data, rule: ToleranceRule) -> float:
     overflows (about 1e154 and up) make it infinite, and so does a large
     enough quotient to the radius; each raises DegenerateToleranceError.
     """
-    if rule.mode == "absolute":
-        return float(rule.value)
-    chans = data.channels if isinstance(data, MultichannelSeries) else np.atleast_2d(
-        np.asarray(data, dtype=float))
-    if chans.shape[1] < 2:
-        raise InvalidParameterError("covariance_trace tolerance needs >= 2 samples per channel")
-    # an overflow is reported by the check below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = float(np.sum(np.var(chans, axis=1, ddof=1)))
-    if not np.isfinite(trace):
-        raise DegenerateToleranceError("covariance trace overflows (samples too large)")
-    if trace <= 0.0:
-        raise DegenerateToleranceError("covariance trace is zero (constant input)")
-    if not math.isfinite(rule.value * trace):
-        raise DegenerateToleranceError("radius overflows: quotient %r times covariance trace %r"
-                                       % (rule.value, trace))
-    return rule.value * trace
+    return _radii(data, [rule])[0]
+
+
+def _radii(data, rules) -> list:
+    """resolve_tolerance of data under each rule, in order, taking the covariance trace once."""
+    radii, trace = [], None
+    for rule in rules:
+        if rule.mode == "absolute":
+            radii.append(float(rule.value))
+            continue
+        if trace is None:
+            chans = data.channels if isinstance(data, MultichannelSeries) else np.atleast_2d(
+                np.asarray(data, dtype=float))
+            if chans.shape[1] < 2:
+                raise InvalidParameterError(
+                    "covariance_trace tolerance needs >= 2 samples per channel")
+            # an overflow is reported by the check below, not as a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                trace = float(np.sum(np.var(chans, axis=1, ddof=1)))
+            if not np.isfinite(trace):
+                raise DegenerateToleranceError("covariance trace overflows (samples too large)")
+            if trace <= 0.0:
+                raise DegenerateToleranceError("covariance trace is zero (constant input)")
+        if not math.isfinite(rule.value * trace):
+            raise DegenerateToleranceError("radius overflows: quotient %r times covariance trace %r"
+                                           % (rule.value, trace))
+        radii.append(rule.value * trace)
+    return radii
 
 
 # Cells (element rows times diagonals times places) in one block of a
@@ -278,7 +291,17 @@ def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, chan):
     diagonals s counts both dimensions at once: the match mask at e+1 is
     the mask at e ANDed with the closeness of the e-th template element.
     A pair reaching past the channel's end is never close
-    (_close_blocks), so it drops out with no bound checks. chan is
+    (_close_blocks), so it drops out with no bound checks.
+
+    The keys run L places past the channel's end, so each row of a block
+    (one diagonal) ends in at least L dead cells, which are never close,
+    and the block is read as one flat array: element e of cell f's pair
+    is cell f + eL. The chain reaches f + eL only through a true match
+    at f + (e-1)L, a live cell, and L places on from a live cell lie in
+    its own row, so a match never takes a cell of the next row; the
+    chain at e + 1 drops the block's last eL cells, whose pairs reach
+    past the block. With L - 1 dead cells a step could reach the next
+    row, and a constant channel would be miscounted. chan is
     _sort_channel's result for the same channel: the sweep reads its
     ranks, and its cap, the templates counted at d (chan[1].size), which
     under equal_template_count is below _templates(n, d, lag).
@@ -293,31 +316,28 @@ def _sweep_counts(y: np.ndarray, lag: int, radii, d: int, chan):
         # before_cap[s, i]: whether j = i + s is below the cap
         before_cap = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n) < cap, n)
     match_buf = np.empty(max(_BLOCK_CELLS, n), dtype=bool)
-    # a diagonal s holds a pair at dimension d only if s < t
-    for k0, k, close in _close_blocks(y, chan[0], np.arange(n)[None, :], t - 1,
-                                      lambda k0: (0, n - k0), radii):
-        close = match = close[0]
-        rows, width = close.shape
+    # a diagonal s holds a pair at dimension d only if s < t; the lag places
+    # past the end give every row of a block at least lag dead cells
+    for k0, k, close in _close_blocks(y, chan[0], np.arange(n + lag)[None, :], t - 1,
+                                      lambda k0: (0, n + lag - k0), radii):
+        rows, width = close.shape[1:]
+        close = match = close.reshape(-1)
+        cells = close.size
         for e in range(1, d + 1):
             if e == d:
                 counted = match
                 if cap < t:
-                    # pair j = i + s counts only if j < cap
+                    # pair j = i + s counts only if j < cap; the first keep
+                    # cells of each row lie inside match (strides in bytes)
                     keep = max(cap - k0, 0)
-                    counted = match[:, :keep] & before_cap[k0:k0 + rows, :keep]
+                    counted = (np.lib.stride_tricks.as_strided(match, (rows, keep), (width, 1))
+                               & before_cap[k0:k0 + rows, :keep])
                 lo[k] += np.count_nonzero(counted)
-            # match[:, i] at e + 1: match at e and close[:, i + eL]
-            keep = width - e * lag
-            if keep <= 0:
-                break
-            if e == 1:
-                match = np.logical_and(close[:, :keep], close[:, lag:],
-                                       out=match_buf[:rows * keep].reshape(rows, keep))
-            else:
-                match = np.logical_and(match[:, :keep], close[:, e * lag:],
-                                       out=match[:, :keep])
-        else:  # no break: match holds the pairs at d + 1
-            hi[k] += np.count_nonzero(match)
+            # match[f] at e + 1: match at e and close[f + eL]; a true match[f]
+            # at e ends in the live cell f + (e-1)L, so f + eL is in its row
+            s = e * lag
+            match = np.logical_and(match[:cells - s], close[s:], out=match_buf[:cells - s])
+        hi[k] += np.count_nonzero(match)
     return lo, hi
 
 
@@ -397,9 +417,11 @@ def _band_is_cheaper(n: int, d: int, band: int) -> bool:
     with one closeness test and a short AND chain each; the band counter
     visits about `band` cells (the band's size at the largest radius)
     with a closeness test per template element (_close_blocks). Measured
-    on 2 CPUs, a band cell costs about (d + 3) / 2 sweep cells at one
-    radius (rank test), and less in an r-sweep (float test: 1.3 at d = 1
-    to 3 at d = 6).
+    on 2 CPUs on a 4000-sample Gaussian channel whose band holds 27% of
+    its pairs, a band cell costs about (d + 3) / 2 sweep cells at one
+    radius (rank test: 1.8, 2.4, 2.9, 3.7, 4.1 and 4.7 at d = 1 to 6),
+    and less in an r-sweep (float test, 15 radii: 1.6 at d = 1 to 3.6 at
+    d = 6).
     """
     return (d + 3) * band < n * n
 
@@ -492,13 +514,12 @@ def _curves(data: MultichannelSeries, params: EntropyParams, rules, points, *,
     """
     params.check_feasible(data.n_samples)
     chans = _zscore(data.channels) if normalize else data.channels
-    radii = None if per_scale_tolerance else [resolve_tolerance(chans, rule) for rule in rules]
+    radii = None if per_scale_tolerance else _radii(chans, rules)
     values, probs = [[] for _ in rules], [[] for _ in rules]
     for tau in params.scales:
         cg = np.stack([coarse_grain(ch, tau) for ch in chans])
         try:
-            r_abs = ([resolve_tolerance(cg, rule) for rule in rules]
-                     if per_scale_tolerance else radii)
+            r_abs = _radii(cg, rules) if per_scale_tolerance else radii
         except DegenerateToleranceError:
             found = [None] * len(rules)  # no radius at this scale: undefined
         else:

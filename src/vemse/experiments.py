@@ -92,6 +92,10 @@ class ModelBundle:
             raise InvalidParameterError("bundle %r has no channels" % (self.name,))
         if self.noise_ratio < 0:
             raise InvalidParameterError("noise_ratio must be >= 0")
+        noise = [] if self.noise_kind is None else [self.noise_kind]
+        for kind in [*self.kinds, *noise]:
+            if kind not in MODEL_KINDS:
+                raise InvalidParameterError("unknown signal kind %r" % (kind,))
 
     @classmethod
     def homogeneous(cls, kind: str, channels: int = 2) -> "ModelBundle":
@@ -144,6 +148,8 @@ class SweepSpec:
         self.n_samples = whole_number(self.n_samples, "n_samples")
         self.realizations = whole_number(self.realizations, "realizations")
         self.base_seed = whole_number(self.base_seed, "base_seed")
+        if self.n_samples < 1:
+            raise InvalidParameterError("n_samples must be >= 1")
         if self.realizations < 1:
             raise InvalidParameterError("realizations must be >= 1")
         if self.base_seed < 0:

@@ -650,6 +650,28 @@ class TestOptionTable:
         assert "config: command = compute" in stdout
         assert "config: resolved_radius = " in stdout
 
+    def test_main_builds_the_parser_once(self, tmp_path, capsys):
+        _build_parser.cache_clear()
+        for k in range(2):
+            assert run(capsys, "generate", "--kind", "wgn", "--n", "50",
+                       "--output", str(tmp_path / ("%d.csv" % k)))[0] == 0
+        assert _build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("columns", ["100", "60"])
+    @pytest.mark.parametrize("argv", [[]] + [[c] for c in _COMMANDS],
+                             ids=lambda a: a[0] if a else "vemse")
+    def test_help_is_a_fresh_parsers_at_any_width(self, monkeypatch, capsys, argv, columns):
+        # the kept parser was built before COLUMNS is set: help takes its
+        # width when it is printed, as a fresh parser's does
+        _build_parser()
+        monkeypatch.setenv("COLUMNS", columns)
+        helps = []
+        for parser in (_build_parser(), _build_parser.__wrapped__()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + ["--help"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+
 
 class TestConfigEdges:
     """Malformed configuration exits 2 before any work, never a traceback."""

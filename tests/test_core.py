@@ -408,6 +408,9 @@ _WGN = [ModelBundle.homogeneous("wgn")]
 @pytest.mark.parametrize("make, message", [
     (lambda: ModelBundle("empty", []), "has no channels"),
     (lambda: ModelBundle("wgn", ["wgn"], "wgn", -0.1), "noise_ratio must be >= 0"),
+    (lambda: ModelBundle("x", ["foo", "wgn"]), "unknown signal kind 'foo'"),
+    (lambda: ModelBundle("x", ["wgn"], noise_kind="bar"), "unknown signal kind 'bar'"),
+    (lambda: SweepSpec("vemse", "r", [0.2], _WGN, n_samples=0), "n_samples must be >= 1"),
     (lambda: SweepSpec("apen", "r", [0.2], _WGN), "unknown estimator"),
     (lambda: SweepSpec("vemse", "tau", [1], _WGN), "unknown swept parameter"),
     (lambda: SweepSpec("vemse", "r", [], _WGN), "sweep_values must be non-empty"),
@@ -429,7 +432,8 @@ _WGN = [ModelBundle.homogeneous("wgn")]
     (lambda: ToleranceRule("relative", 0.2), "unknown tolerance mode"),
     (lambda: EntropyCurve([1, 2], [0.5]), "length mismatch"),
     (lambda: resolve_tolerance(np.ones((2, 1)), ToleranceRule.trace(0.2)), ">= 2 samples"),
-], ids=["bundle-no-channels", "bundle-noise-ratio", "sweep-estimator", "sweep-parameter",
+], ids=["bundle-no-channels", "bundle-noise-ratio", "bundle-kind", "bundle-noise-kind",
+        "sweep-n-samples", "sweep-estimator", "sweep-parameter",
         "sweep-no-values", "sweep-not-increasing", "sweep-realizations", "sweep-seed",
         "channel-kind", "ar-innovation-sd", "ar-burn-in", "wgn-n", "flicker-n", "flicker-sd",
         "ar-n", "ar-target-sd", "mix-lengths", "mix-ratio", "series-labels", "series-rate",

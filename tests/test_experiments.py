@@ -273,6 +273,21 @@ class TestLibraryParametersRefused:
             directionality_study([("wgn", "ar1")], **{"n_samples": 50, "realizations": 1,
                                                       **kwargs})
 
+    @pytest.mark.parametrize("study, message", [
+        (lambda: run_sweep(SweepSpec("vemse", "r", [0.2], [ModelBundle.homogeneous("wgn")],
+                                     n_samples=0, realizations=1)), "n_samples must be >= 1"),
+        (lambda: noise_robustness_study(n_samples=0, scales=[1], realizations=1),
+         "n_samples must be >= 1"),
+        (lambda: directionality_study([("wgn", "foo")], n_samples=50, scales=[1],
+                                      realizations=1), "unknown signal kind 'foo'"),
+        (lambda: run_sweep(SweepSpec("vemse", "r", [0.2], [ModelBundle("x", ["wgn"], "bar", 0.5)],
+                                     n_samples=50, realizations=1)), "unknown signal kind 'bar'"),
+    ], ids=["sweep-n", "noise-n", "directionality-kind", "sweep-noise-kind"])
+    def test_a_bad_draw_is_refused_first(self, monkeypatch, study, message):
+        monkeypatch.setattr(experiments, "realize_bundle", None)
+        with pytest.raises(InvalidParameterError, match=message):
+            study()
+
     def test_timing_takes_a_whole_seed(self):
         with pytest.raises(InvalidParameterError, match="base_seed must be a whole number"):
             timing_benchmark("N", [50], n_samples=50, runs=1, base_seed=1.5)

@@ -402,6 +402,27 @@ def test_rank_test_counts_alike_with_uint32_ranks(d, lag, extra, equal, data):
     assert dtype.call_count == 3  # each radius's one sort took the uint32 ranks
 
 
+@pytest.mark.parametrize("n", [50, 257])
+@pytest.mark.parametrize("lag", [1, 2, 3])
+@pytest.mark.parametrize("radii", [[1.0], [0.5, 1.0]], ids=["rank", "float"])
+def test_a_constant_channel_matches_every_pair(n, lag, radii):
+    # On a constant channel every template pair matches, so only the
+    # channel's end stops a match. The sweep reads each block flat, its
+    # rows running on into each other, and a chain step of L from a live
+    # cell must land in its own row's dead cells at the latest; a block of
+    # a few rows puts many row ends in each block. Both counters must
+    # count every pair: T(T - 1)/2 at d and at d + 1.
+    y = np.full(n, 3.0)
+    for block in (3 * n, estimators._BLOCK_CELLS):
+        with mock.patch.object(estimators, "_BLOCK_CELLS", block):
+            for d in range(1, 7):
+                for equal in (False, True):
+                    t_lo, t_hi = n - (d - 1 + equal) * lag, n - d * lag
+                    want = [[math.comb(t_lo, 2)] * len(radii), [math.comb(t_hi, 2)] * len(radii)]
+                    band, sweep = counts(y, lag, radii, d, equal)
+                    assert np.array(band).tolist() == np.array(sweep).tolist() == want
+
+
 def _grid_channel(n, half, seed):
     """n samples on the 0.1 grid between -half/10 and half/10: ties on every value."""
     return np.random.default_rng(seed).integers(-half, half + 1, n) * 0.1
