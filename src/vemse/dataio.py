@@ -63,7 +63,7 @@ def _format_cell(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # float() drops a numpy float64's type, which its repr names
     return str(v)
 
 

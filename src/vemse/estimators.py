@@ -41,16 +41,16 @@ sample pairs are close, by one of two exact tests (_ranks_are_cheaper):
   |difference| is taken once and compared with every radius, so the
   radii are counted in one pass per scale.
 
-mmse counts composite delay vectors with one k-d tree pair walk per
-scale and radius (_cdv_probs): the templates are sorted by their first
-coordinate and cut into tiles, one tree each; the trees list each pair
-within the radius at the base dims once, skipping every pair of tiles
-whose first coordinates lie farther apart than the radius, and each of
+mmse counts composite delay vectors with one pair walk per scale and
+radius (_cdv_probs): the templates are sorted by their first coordinate
+and cut into tiles, and each pair of tiles whose first coordinates come
+within the radius is tested cell by cell in numpy (_tile_pairs), so
+each pair within the radius at the base dims is listed once; each of
 the P bumped passes checks its one extra coordinate on those pairs.
 mmse stays off the two counters above, where its channels would share
 one match mask and could overtake vemse, against the acceptance timing
 criterion (vemse no slower than mmse); on that criterion's input vemse
-runs about 3.8 times as fast as mmse at two channels and 3.1 times at
+runs about 4.2 times as fast as mmse at two channels and 2.6 times at
 four (BENCH_kernel.json).
 
 Undefined estimates (no matches at dimension m or m+1, or too few
@@ -598,15 +598,55 @@ def sampen(x, m: int, r_abs: float, lag: int = 1, *, equal_template_count: bool 
 
 
 # Rows of one tile of mmse's pair walk. A listing (a tile with itself or
-# with a later tile) holds at most _TILE^2 = 2^16 pairs, which bounds the
-# walk's scratch, under 200 bytes a listed pair, whatever the radius.
-# Only tiles whose first coordinates come within the radius are listed,
-# so smaller tiles list fewer far pairs, at more tree calls. Measured on
-# 2 CPUs over tiles of 128, 256, 512 and 1024 (interleaved, medians):
-# 4000 x 4 at scales 1..5 took 0.150, 0.141, 0.154 and 0.170 s; 20k x 4
-# at scale 1 took 1.83, 1.71, 1.68 and 1.42 s; and every pair matching
-# (4000 x 2, radius 100) peaked at 73, 79, 103 and 190 MiB.
+# with a later tile) tests at most _TILE^2 = 2^16 cells, in scratch that
+# every listing reuses, and lists at most that many pairs, under 200
+# bytes each, whatever the radius. Only tiles whose first coordinates
+# come within the radius are listed, so smaller tiles test fewer far
+# cells, at more listings. Measured on 2 CPUs over tiles of 128, 256,
+# 512 and 1024 (interleaved, medians): 4000 x 4 at scales 1..5 took
+# 0.093, 0.093, 0.106 and 0.160 s; 20k x 4 at scale 1 took 1.40, 1.22,
+# 1.29 and 1.74 s; and every pair matching (4000 x 2, radius 100)
+# peaked at 38, 43, 58 and 118 MiB.
 _TILE = 256
+# Composite coordinates a listing tests on every cell; the rest are
+# gathered for the pairs those leave. Three or four run long vectors
+# faster (4000 x 4 at scales 1..5 took 0.096, 0.074 and 0.069 s at 2, 3
+# and 4, same machine), but at three the acceptance timing criterion
+# (vemse's lead on mmse grows from two channels to four) held by only
+# 0.5-9.5 ms in 24 timing_benchmark runs, within the machine's noise;
+# at two, by 8-36 ms.
+_DENSE = 2
+
+
+def _tile_pairs(cols, a, b, radius, scratch):
+    """Sorted places (i, j), i in rows a and j in rows b, within the radius everywhere.
+
+    a and b slice the columns of cols (one row per coordinate); within
+    one tile (a == b) only j > i is listed. Between two tiles, the rows
+    of each that are past the radius on coordinate 0 from every row of
+    the other are dropped first, by the tile skip's argument. The first
+    _DENSE coordinates are then tested on every cell, the rest on the
+    pairs those leave; each test is |difference| <= radius.
+    """
+    first = cols[0]
+    if a != b:
+        a = slice(a.start + np.count_nonzero(first[b.start] - first[a] > radius), a.stop)
+        b = slice(b.start, b.start + np.count_nonzero(first[b] - first[a.stop - 1] <= radius))
+    gap, close, near, upper = (buf[:a.stop - a.start, :b.stop - b.start] for buf in scratch)
+    for k, col in enumerate(cols[:_DENSE]):
+        np.abs(np.subtract(col[a, None], col[None, b], out=gap), out=gap)
+        np.less_equal(gap, radius, out=near if k else close)
+        if k:
+            np.logical_and(close, near, out=close)
+    if a == b:
+        np.logical_and(close, upper, out=close)
+    i, j = np.nonzero(close)
+    i += a.start
+    j += b.start
+    for col in cols[_DENSE:]:
+        keep = np.abs(col[i] - col[j]) <= radius
+        i, j = i[keep], j[keep]
+    return i, j
 
 
 def _cdv_probs(channels, dims, lags, radius: float):
@@ -620,14 +660,14 @@ def _cdv_probs(channels, dims, lags, radius: float):
     radius there.
 
     The templates are sorted once by their first coordinate (y_0[i]) and
-    cut, in that order, into tiles of _TILE, one k-d tree per tile. Each
-    tile lists its own pairs (query_pairs), and each later tile b the
-    pairs between them (sparse_distance_matrix), so every base match is
-    listed once, until the first b whose smallest first coordinate less
-    tile a's largest is past the radius. That skip is exact: a computed
-    difference never falls as its larger operand grows, so every pair of
-    tile a with tile b or a later one is past the radius on coordinate 0.
-    Listed rows are sorted places; order maps them back to templates.
+    cut, in that order, into tiles of _TILE. Each tile lists its own
+    pairs, and each later tile b the pairs between them (_tile_pairs), so
+    every base match is listed once, until the first b whose smallest
+    first coordinate less tile a's largest is past the radius. That skip
+    is exact: a computed difference never falls as its larger operand
+    grows, so every pair of tile a with tile b or a later one is past the
+    radius on coordinate 0. Listed rows are sorted places; order maps
+    them back to templates.
     """
     n_t = channels[0].size
     lag = max(lags)
@@ -635,31 +675,23 @@ def _cdv_probs(channels, dims, lags, radius: float):
     t_bump = [_templates(n_t, max(max(dims), d + 1), lag, True) for d in dims]
     if min([t] + t_bump) < 2:
         return None
-    from scipy.spatial import cKDTree  # only mmse needs it; it is slow to import
-
     order = np.argsort(channels[0][:t])
-    tpl = np.column_stack([y[k * l: k * l + t][order]
-                           for y, m, l in zip(channels, dims, lags) for k in range(m)])
-    starts = range(0, t, _TILE)
-    trees = [cKDTree(tpl[lo:lo + _TILE]) for lo in starts]
-    # each tile's smallest and largest first coordinate
-    low = tpl[starts, 0]
-    high = tpl[[min(lo + _TILE, t) - 1 for lo in starts], 0]
+    cols = np.stack([y[k * l: k * l + t][order]
+                     for y, m, l in zip(channels, dims, lags) for k in range(m)])
+    first = cols[0]
+    shape = (_TILE, _TILE)
+    scratch = (np.empty(shape), np.empty(shape, bool), np.empty(shape, bool),
+               np.triu(np.ones(shape, bool), 1))
     # extras[c][i] = y_c[i + m_c*l_c], the coordinate bumped pass c adds
     extras = [y[m * l:] for y, m, l in zip(channels, dims, lags)]
     base = 0
     bumped = [0] * len(dims)
-    for a, tree in enumerate(trees):
-        for b in range(a, len(trees)):
-            if b == a:
-                i, j = (tree.query_pairs(radius, p=np.inf, output_type="ndarray")
-                        + a * _TILE).T
-            elif low[b] - high[a] > radius:
+    for lo in range(0, t, _TILE):
+        a = slice(lo, min(lo + _TILE, t))
+        for start in range(lo, t, _TILE):
+            if first[start] - first[a.stop - 1] > radius:
                 break
-            else:
-                pairs = tree.sparse_distance_matrix(trees[b], radius, p=np.inf,
-                                                    output_type="ndarray")
-                i, j = pairs["i"] + a * _TILE, pairs["j"] + b * _TILE
+            i, j = _tile_pairs(cols, a, slice(start, min(start + _TILE, t)), radius, scratch)
             i, j = order[i], order[j]
             base += i.size
             last = np.maximum(i, j)
@@ -689,13 +721,13 @@ def mmse(
     as in vemse, by the same per-scale loop (_curves).
 
     Each scale makes one pair walk: the templates are sorted by their
-    first coordinate and cut into tiles of _TILE, and k-d trees (scipy,
-    imported on first use), one per tile, list each template pair within
-    the radius at dims once; a pair of tiles whose first coordinates lie
-    farther apart than the radius is never listed, since none of its
-    pairs can match. Each bumped pass keeps the pairs among its own
-    templates whose added coordinate is within the radius too. The counts
-    equal those of P + 1 separate passes.
+    first coordinate and cut into tiles of _TILE, and each template pair
+    within the radius at dims is listed once, by testing a tile against
+    itself and against each later tile in numpy; a pair of tiles whose
+    first coordinates lie farther apart than the radius is never listed,
+    since none of its pairs can match. Each bumped pass keeps the pairs
+    among its own templates whose added coordinate is within the radius
+    too. The counts equal those of P + 1 separate passes.
 
     Parameters
     ----------

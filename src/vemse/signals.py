@@ -115,14 +115,14 @@ def _ar_filter(coefficients, eps: np.ndarray) -> np.ndarray:
     """
     if not coefficients:
         return eps
-    neg = [-a for a in coefficients]
-    k = len(neg)
-    z = [0.0] * (k + 1)
+    terms = list(enumerate(-a for a in coefficients))
+    z = [0.0] * (len(terms) + 1)
     out = []
     for x in eps.tolist():
         y = x + z[0]
-        for i in range(k):
-            z[i] = (0.0 * x + z[i + 1]) - neg[i] * y
+        zero = 0.0 * x
+        for i, neg in terms:
+            z[i] = (zero + z[i + 1]) - neg * y
         out.append(y)
     return np.array(out)
 

@@ -52,6 +52,18 @@ class TestResultFileRoundTrip:
         write_result(rf, path)
         assert read_result(path).rows[0][0] == value
 
+    def test_numpy_float_cells_round_trip(self, tmp_path):
+        # numpy's float64 is a float whose repr names its type
+        # ("np.float64(0.5)"); its cell must read back as the number
+        rf = ResultFile(metadata={}, columns=["a", "b"],
+                        rows=[[np.float64(0.5), np.float64(0.1) + np.float64(0.2)]])
+        path = tmp_path / "np.csv"
+        write_result(rf, path)
+        assert path.read_text().splitlines()[1] == "0.5,0.30000000000000004"
+        back = read_result(path)
+        assert back == rf
+        assert all(type(v) is float for v in back.rows[0])
+
     def test_undefined_serialized_empty(self, tmp_path):
         curve = EntropyCurve(scales=[29, 30], values=[0.5, None],
                              probs=[(0.1, 0.06), None])

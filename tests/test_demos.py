@@ -14,12 +14,16 @@ MODULES = sorted("vemse" if p.stem == "__init__" else "vemse." + p.stem
                  for p in Path(vemse.__file__).parent.glob("*.py"))
 
 
-def run_demo(name):
+def run_python(*args, cwd=ROOT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(ROOT / "demos" / name)],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def run_demo(name):
+    return run_python(str(ROOT / "demos" / name))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -47,3 +51,20 @@ def test_record_pipeline_demo_replays_byte_identical():
     proc = run_demo("05_record_pipeline.py")
     assert proc.returncode == 0, proc.stderr
     assert "replay byte-identical: True" in proc.stdout
+
+
+def test_an_mmse_compute_imports_no_scipy(tmp_path):
+    # the package needs numpy alone; scipy is only the tests' oracle
+    script = "\n".join([
+        "import sys",
+        "from vemse.cli import main",
+        "assert main(['generate', '--kind', 'ar2', '--n', '600', '--channels', '3',",
+        "             '--seed', '1', '--output', 'rec.csv']) == 0",
+        "assert main(['compute', '--estimator', 'mmse', '--input', 'rec.csv',",
+        "             '--scales', '1..3', '--output', 'curve.csv']) == 0",
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+    ])
+    proc = run_python("-c", script, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "curve.csv").exists()

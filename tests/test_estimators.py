@@ -236,27 +236,25 @@ class TestMmse:
         curve = mmse(data, [3, 3], ToleranceRule.trace(0.15), scales=[4])
         assert curve.values == [None]
 
-    def test_one_bumped_pass_with_one_template_is_undefined_without_a_tree(self, monkeypatch):
+    def test_one_bumped_pass_with_one_template_is_undefined_without_a_listing(self, monkeypatch):
         # at scale 2 the 8 samples leave 4: the base pass (dims 2, 1) has 2
         # templates, channel 0's bumped pass (dims 3, 1) has 1
-        import scipy.spatial
+        listed = []
+        real = estimators._tile_pairs
 
-        built = []
-        real = scipy.spatial.cKDTree
+        def spy(cols, a, b, *args):
+            listed.append((a, b))
+            return real(cols, a, b, *args)
 
-        def spy(*args, **kwargs):
-            built.append(len(args[0]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.spatial, "cKDTree", spy)
+        monkeypatch.setattr(estimators, "_tile_pairs", spy)
         chans = np.random.default_rng(3).standard_normal((2, 8))
         curve = mmse(MultichannelSeries(chans), [2, 1], ToleranceRule.trace(5.0), scales=[2])
         assert curve.probs == [None] and curve.values == [None]
-        assert built == []
+        assert listed == []
         assert naive_mmse_probs([list(c) for c in chans], [2, 1], 5.0, [1, 1], [2]) == [None]
-        # the spy sees the trees of a feasible scale
+        # the spy sees the listings of a feasible scale
         mmse(MultichannelSeries(chans), [2, 1], ToleranceRule.trace(5.0), scales=[1])
-        assert built
+        assert listed
 
     def test_inclusive_ties_at_every_pass(self):
         # two-level channels with equal level counts z-score to the same

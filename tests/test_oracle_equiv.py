@@ -113,10 +113,15 @@ def test_mmse_probs_match_naive_on_unequal_dims_and_lags(seed):
     n = int(rng.integers(30, 90))
     chans = rng.integers(-4, 5, (p, n)) * 0.1
     scales = [1, 2, 5]
-    got = mmse(MultichannelSeries(chans), dims, ToleranceRule.trace(0.2), lags=lags,
-               scales=scales)
-    _assert_mmse_matches_naive(
-        got, naive_mmse_probs([list(c) for c in chans], dims, 0.2, lags, scales))
+    want = naive_mmse_probs([list(c) for c in chans], dims, 0.2, lags, scales)
+    # tiles of 1, 2, 3 and 5 leave ragged last tiles and small self-tile
+    # triangles; seed 0 (dims [1]) has fewer composite coordinates than a
+    # listing tests on every cell (_DENSE), seed 8 (dims [2]) as many
+    for tile in (1, 2, 3, 5, estimators._TILE):
+        with mock.patch.object(estimators, "_TILE", tile):
+            got = mmse(MultichannelSeries(chans), dims, ToleranceRule.trace(0.2), lags=lags,
+                       scales=scales)
+        _assert_mmse_matches_naive(got, want)
 
 
 def test_mmse_pair_walk_blocks_agree():
@@ -152,8 +157,8 @@ def _unit_grid_channel(rng, n, half):
 
 def test_mmse_counts_exact_ties_on_both_listings():
     # a radius of one grid step is met exactly by many pairs, within a
-    # tile (query_pairs) and between tiles (sparse_distance_matrix); the
-    # inclusive boundary must count them on both, at every tiling
+    # tile and between tiles; the inclusive boundary must count them on
+    # both listings, at every tiling
     rng = np.random.default_rng(12)
     chans = np.stack([_unit_grid_channel(rng, 71, 30) for _ in range(2)])
     assert np.all(chans.mean(axis=1) == 0) and np.all(chans.std(axis=1, ddof=1) == 1)
@@ -242,20 +247,19 @@ def test_mmse_walk_lists_no_tile_pair_across_a_gap_past_the_radius(tile):
     # the first coordinates form two clusters of 40 templates, at -1 and
     # +1, each 0.6 wide: 1.4 apart, against a radius of 0.5, so no
     # listing may pair a tile of one cluster with a tile of the other
-    from scipy.spatial import cKDTree
-
     rng = np.random.default_rng(11)
     first = rng.permutation(np.repeat([-1.0, 1.0], 40)) + rng.uniform(-0.3, 0.3, 80)
     chans = np.stack([np.append(first, rng.standard_normal(2)), 0.5 * rng.standard_normal(82)])
     dims, lags, radius = [2, 1], [1, 1], 0.5
     listed = []
+    real = estimators._tile_pairs
 
-    class SpyTree(cKDTree):
-        def sparse_distance_matrix(self, other, *args, **kwargs):
-            listed.append(np.concatenate([self.data[:, 0], other.data[:, 0]]))
-            return super().sparse_distance_matrix(other, *args, **kwargs)
+    def spy(cols, a, b, *args):
+        if a != b:
+            listed.append(np.concatenate([cols[0][a], cols[0][b]]))
+        return real(cols, a, b, *args)
 
-    with mock.patch("scipy.spatial.cKDTree", SpyTree), \
+    with mock.patch.object(estimators, "_tile_pairs", spy), \
             mock.patch.object(estimators, "_TILE", tile), \
             mock.patch.object(estimators, "_prob", side_effect=estimators._prob) as prob:
         estimators._cdv_probs(chans, dims, lags, radius)

@@ -81,6 +81,11 @@ def run_case(name):
         out = [_pair_counts(chans, 1, radii, dims) for chans, radii, dims in calls]
         return [[int(v) for v in np.concatenate([lo.ravel(), hi.ravel()])] for lo, hi in out]
 
+    def warm_up_mmse():
+        # untimed: a --base checkout whose mmse imports scipy on its first
+        # call pays that import here, not in the one timed call
+        mmse(MultichannelSeries(record[:2, :50]), [2, 2])
+
     record = np.stack([generate_ar(AR2, 4000, seed=(0, 0, c)) for c in range(4)])
     if name in CHANNELS:
         n, reps = CHANNELS[name]
@@ -104,18 +109,18 @@ def run_case(name):
         reps = 3
         data = MultichannelSeries(record)
         once = lambda: mmse(data, [2] * 4, ToleranceRule.trace(0.15), scales=range(1, 6)).probs
-        once()  # warm-up, untimed: the first mmse call imports scipy
+        once()  # warm-up, untimed
     elif name == "mmse_wide_radius":
         reps = 1
         data = MultichannelSeries(realize_bundle(ModelBundle.homogeneous("wgn", 2), 4000, 0, 0))
         once = lambda: mmse(data, [2, 2], ToleranceRule.absolute(100.0)).probs
-        import scipy.spatial  # untimed: the first mmse call imports it
+        warm_up_mmse()
     elif name == "mmse_20k":
         reps = 1
         data = MultichannelSeries(np.stack([generate_ar(AR2, 20_000, seed=(0, 0, c))
                                             for c in range(4)]))
         once = lambda: mmse(data, [2] * 4, ToleranceRule.trace(0.15)).probs
-        import scipy.spatial  # untimed: the first mmse call imports it
+        warm_up_mmse()
     else:
         reps = 5
         p, estimator = ACCEPTANCE_10[name]
