@@ -6,6 +6,12 @@ On-disk format (both records and results): UTF-8 CSV, "," separator,
 serialized as empty fields. Floats are written with repr(), the shortest
 decimal that round-trips, so replayed runs are bit-faithful.
 
+Files are read in binary: the data rows stay one bytes block until they
+are parsed (records, by np.loadtxt) or split into cells (read_result).
+Rows are written a chunk of _CHUNK at a time, so a record's rows can stay
+its (n, P) float array and a read or write holds no Python object per
+sample.
+
 The *_to_resultfile converters write the metadata their caller passes;
 the curve, ensemble and timing ones add only a "kind" key (curves also
 "has_negative"), and the record one the record's "sample_rate_hz" when it
@@ -16,10 +22,12 @@ read as plain tables with read_result.
 """
 from __future__ import annotations
 
+import codecs
+import io
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import filterfalse, islice
 
 import numpy as np
 
@@ -49,14 +57,17 @@ __all__ = [
 class ResultFile:
     """A metadata block plus a rectangular table of cells.
 
-    Cells are int, float, str, or None (undefined). The metadata is what
-    the writer's caller passed; a file written by the CLI holds every
-    option of its run, so it can be replayed.
+    Cells are int, float, str, or None (undefined). rows is a list of
+    lists, or a 2-D float array (record_to_resultfile's, a view of the
+    channels), which write_result writes a chunk at a time; read_result
+    always gives lists. The metadata is what the writer's caller passed;
+    a file written by the CLI holds every option of its run, so it can be
+    replayed.
     """
 
     metadata: dict = field(default_factory=dict)
     columns: list[str] = field(default_factory=list)
-    rows: list[list] = field(default_factory=list)
+    rows: list[list] | np.ndarray = field(default_factory=list)
 
 
 def _format_cell(v) -> str:
@@ -101,68 +112,127 @@ def _unwritable(result: ResultFile):
     return None
 
 
+# Rows formatted per fh.write. Writing holds one chunk's Python floats and
+# strings, about 0.4 MiB for 4 columns; larger chunks write no faster.
+_CHUNK = 1024
+
+
 def write_result(result: ResultFile, path) -> None:
     """Write a ResultFile; read_result(write_result(r)) == r.
 
     A metadata key or value with a line break or leading or trailing
     whitespace, a metadata key with "=", a column label with a comma or a
     line break, and a first label starting with "#" would not read back,
-    so they raise VemseError and nothing is written.
+    so they raise VemseError and nothing is written. Rows go out _CHUNK
+    at a time, so writing holds Python cells for one chunk, whatever the
+    table's length.
     """
     problem = _unwritable(result)
     if problem is not None:
         raise VemseError("cannot write %s: %s" % (path, problem))
+    rows = result.rows
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for key, value in result.metadata.items():
                 fh.write("# %s = %s\n" % (key, value))
             fh.write(",".join(result.columns) + "\n")
-            for row in result.rows:
-                fh.write(",".join(_format_cell(v) for v in row) + "\n")
+            for start in range(0, len(rows), _CHUNK):
+                chunk = rows[start:start + _CHUNK]
+                if isinstance(chunk, np.ndarray):
+                    chunk = chunk.tolist()
+                fh.write("".join([",".join(map(_format_cell, row)) + "\n" for row in chunk]))
     except OSError as exc:
         raise VemseError("cannot write %s: %s" % (path, exc)) from exc
 
 
-def _read_table(path, max_lines=None):
-    """Metadata, header labels and the non-empty data lines of a result file.
+# Data lines that hold no row, in a file without a lone CR
+_BLANK = frozenset((b"\n", b"\r\n"))
 
-    A UTF-8 byte order mark at the start is dropped. Reading stops after
-    max_lines data lines when it is given.
+
+def _lf(block: bytes) -> bytes:
+    """block with "\\r\\n" and a lone "\\r" made "\\n", as universal newlines make them."""
+    if b"\r" not in block:  # one memchr; replace would count each pattern first
+        return block
+    return block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+def _table(fh, path, max_lines):
+    """_read_table on an open binary file; None if a lone CR ends a line it reads."""
+    metadata = {}
+    line = fh.readline().removeprefix(codecs.BOM_UTF8)
+    while True:
+        parts = line.splitlines()
+        if len(parts) > 1:
+            return None
+        header = parts[0].decode("utf-8") if parts else ""
+        if not header.startswith("#"):
+            break
+        key, _, value = header[1:].strip().partition("=")
+        metadata[key.strip()] = value.strip()
+        line = fh.readline()
+    if header == "":
+        raise RecordParseError("%s: missing header row" % (path,))
+    if max_lines is None:
+        block = fh.read()
+    else:
+        block = b"".join(islice(filterfalse(_BLANK.__contains__, fh), max_lines))
+        if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+            return None
+    return metadata, header.split(","), _lf(block)
+
+
+def _read_table(path, max_lines=None):
+    """Metadata, header labels and the data rows of a result file.
+
+    The file is read in binary. The metadata and header lines are decoded
+    one at a time, and a UTF-8 byte order mark at the start is dropped.
+    The data rows come back undecoded, as one bytes block of lines ended
+    by "\\n" ("\\r\\n" and a lone "\\r" are line breaks, as universal
+    newlines make them), blank lines included. With max_lines, the block
+    holds only the first max_lines non-blank lines, and the file is read
+    no further unless a lone "\\r" ends one of the lines read: then it is
+    read whole and split as universal newlines split it.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = (line.rstrip("\n") for line in fh)
-            metadata = {}
-            header = next(lines, "")
-            while header.startswith("#"):
-                key, _, value = header[1:].strip().partition("=")
-                metadata[key.strip()] = value.strip()
-                header = next(lines, "")
-            if header == "":
-                raise RecordParseError("%s: missing header row" % (path,))
-            data = list(islice(filter(None, lines), max_lines))
+        with open(path, "rb") as fh:
+            table = _table(fh, path, max_lines)
+            if table is None:
+                fh.seek(0)
+                table = _table(io.BytesIO(_lf(fh.read())), path, max_lines)
     except OSError as exc:
         raise VemseError("cannot read %s: %s" % (path, exc)) from exc
     except UnicodeDecodeError as exc:
         raise RecordParseError("%s: not UTF-8 text: %s" % (path, exc)) from exc
-    return metadata, header.split(","), data
+    return table
+
+
+def _data_lines(block: bytes, path) -> list:
+    """The non-blank lines of a _read_table data block, decoded."""
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RecordParseError("%s: not UTF-8 text: %s" % (path, exc)) from exc
+    return [line for line in text.split("\n") if line]
 
 
 def read_result(path) -> ResultFile:
-    metadata, columns, lines = _read_table(path)
-    rows = [[_parse_cell(c) for c in line.split(",")] for line in lines]
+    metadata, columns, block = _read_table(path)
+    rows = [[_parse_cell(c) for c in line.split(",")] for line in _data_lines(block, path)]
     return ResultFile(metadata=metadata, columns=columns, rows=rows)
 
 
 # -- record files (raw multichannel samples) --------------------------------
 
 def record_to_resultfile(series: MultichannelSeries, metadata=None) -> ResultFile:
-    """A record as a table under the caller's metadata plus its sample_rate_hz, if any."""
+    """A record as a table under the caller's metadata plus its sample_rate_hz, if any.
+
+    Its rows are the (n, P) view series.channels.T, not a copy.
+    """
     md = dict(metadata or {})
     if series.sample_rate_hz is not None:
         md["sample_rate_hz"] = repr(float(series.sample_rate_hz))
     labels = series.channel_labels or ["ch%d" % c for c in range(series.n_channels)]
-    return ResultFile(metadata=md, columns=list(labels), rows=series.channels.T.tolist())
+    return ResultFile(metadata=md, columns=list(labels), rows=series.channels.T)
 
 
 def write_record(series: MultichannelSeries, path) -> None:
@@ -172,10 +242,10 @@ def write_record(series: MultichannelSeries, path) -> None:
 
 # A record cell: an ASCII decimal number, sign and exponent optional.
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-# The bytes that data lines of such cells may hold. np.loadtxt would also
-# take whitespace-padded cells, so lines holding any other byte skip it and
-# go to _bad_cell_error, which applies _DECIMAL cell by cell.
-_DECIMAL_BYTES = b"0123456789eE.+-,"
+# The bytes that a data block of such cells may hold. np.loadtxt would also
+# take whitespace-padded cells, so a block holding any other byte skips it
+# and goes to _bad_cell_error, which applies _DECIMAL cell by cell.
+_DECIMAL_BYTES = b"0123456789eE.+-,\n"
 
 
 def _bad_cell_error(lines, p: int, path) -> RecordParseError:
@@ -193,17 +263,20 @@ def _bad_cell_error(lines, p: int, path) -> RecordParseError:
     return RecordParseError("%s: cannot parse the data rows" % (path,))
 
 
-def _parse_samples(lines, p: int, path) -> np.ndarray:
-    """Data lines of P cells each as an (n, P) array of finite floats."""
-    if not ",".join(lines).encode().translate(None, _DECIMAL_BYTES):
+def _parse_samples(block: bytes, p: int, path) -> np.ndarray:
+    """A data block of lines of P cells each as an (n, P) array of finite floats.
+
+    Lines are built only when the block fails, to locate the bad cell.
+    """
+    if not block.translate(None, _DECIMAL_BYTES):
         try:
-            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            data = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
         else:
             if data.shape[1] == p and np.isfinite(data).all():
                 return data
-    raise _bad_cell_error(lines, p, path)
+    raise _bad_cell_error(_data_lines(block, path), p, path)
 
 
 def load_record(path, columns=None, max_rows=None, offset: int = 0) -> MultichannelSeries:
@@ -233,18 +306,23 @@ def load_record(path, columns=None, max_rows=None, offset: int = 0) -> Multichan
     row (counted over non-empty data lines) and column; an empty file
     raises RecordParseError, and so does a "# sample_rate_hz" line whose
     value is not such a decimal, finite and > 0, and a label in columns
-    naming no column or several. A leading UTF-8 byte order mark is dropped.
-    A path that cannot be opened, missing or a directory, raises VemseError
-    naming it.
+    naming no column or several. A leading UTF-8 byte order mark is dropped,
+    and "\\r\\n" and a lone "\\r" end lines as "\\n" does. A file that is
+    not UTF-8 raises RecordParseError. A path that cannot be opened,
+    missing or a directory, raises VemseError naming it.
+
+    The data rows are read as one bytes block and parsed by one
+    np.loadtxt call; lines are built only to locate a bad cell. So a
+    read holds about twice the file's size at its peak.
     """
     if offset < 0 or (max_rows is not None and max_rows < 1):
         raise InvalidParameterError(
             "need offset >= 0 and max_rows >= 1, got %r and %r" % (offset, max_rows))
-    metadata, labels, lines = _read_table(path, None if max_rows is None else offset + max_rows)
-    if not lines:
+    metadata, labels, block = _read_table(path, None if max_rows is None else offset + max_rows)
+    if block.count(b"\n") == len(block):  # only blank lines; strip() would copy the block
         raise RecordParseError("%s: no data rows" % (path,))
     p = len(labels)
-    data = _parse_samples(lines, p, path)
+    data = _parse_samples(block, p, path)
     if columns is not None:
         sel = []
         for col in columns:

@@ -884,6 +884,7 @@ class TestRecordContract:
 
     @pytest.mark.parametrize("content, args, want", [
         (("a,b\n" + _rows(1.0)).replace("\n", "\r\n").encode(), [], 0),
+        (("a,b\n" + _rows(1.0)).replace("\n", "\r").encode(), [], 0),
         (b"\xef\xbb\xbf" + ("a,b\n" + _rows(1.0)).encode(), ["--columns", "a"], 0),
         (("a,b\n1,2\n3,\x004\n" + _rows(1.0)).encode(), [], 3),
         (b"a,b\n", [], 3),
@@ -895,7 +896,7 @@ class TestRecordContract:
          0),
         (("a,b\n" + _rows(1e10)).encode(), ["--r", "1e300"], 2),
         (("a,b\n" + _rows(1.0)).encode(), ["--estimator", "mmse", "--r", "1e308"], 2),
-    ], ids=["crlf", "bom", "nul", "header-only", "blank-line", "repeated-label",
+    ], ids=["crlf", "cr", "bom", "nul", "header-only", "blank-line", "repeated-label",
             "unknown-metadata", "1e300-samples", "1e300-absolute-radius",
             "1e300-quotient", "mmse-1e308-quotient"])
     def test_exit_error_line_cells_and_replay(self, tmp_path, capsys, content, args, want):

@@ -1,6 +1,7 @@
 """Record ingestion and result serialization round trips."""
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from vemse import (
     write_record,
     write_result,
 )
+from vemse import dataio
 from vemse.dataio import (
     curve_from_resultfile,
     curve_to_resultfile,
@@ -167,7 +169,7 @@ class TestRecords:
         series = MultichannelSeries(np.zeros((2, 3)), sample_rate_hz=50)
         rf = record_to_resultfile(series, {"command": "surrogate"})
         assert rf.metadata == {"command": "surrogate", "sample_rate_hz": "50.0"}
-        assert rf.columns == ["ch0", "ch1"] and rf.rows == [[0.0, 0.0]] * 3
+        assert rf.columns == ["ch0", "ch1"] and rf.rows.tolist() == [[0.0, 0.0]] * 3
         assert record_to_resultfile(MultichannelSeries(np.zeros(3))).metadata == {}
 
     def test_shape(self, tmp_path):
@@ -215,6 +217,59 @@ class TestRecords:
         path = tmp_path / "edges.csv"
         write_record(series, path)
         assert load_record(path).channels.tobytes() == series.channels.tobytes()
+
+    @pytest.mark.parametrize("content", [
+        b"# sample_rate_hz = 2\na,b\n1,2\n\n3,4\n5,6\n",
+        b"# sample_rate_hz = 2\r\na,b\r\n1,2\r\n\r\n3,4\r\n5,6\r\n",
+        b"# sample_rate_hz = 2\ra,b\r1,2\r\r3,4\r5,6\r",
+        b"# sample_rate_hz = 2\na,b\r\n1,2\r3,4\n\r\n5,6",
+    ], ids=["lf", "crlf", "cr", "mixed"])
+    @pytest.mark.parametrize("max_rows", [None, 2])
+    def test_line_breaks_are_universal(self, tmp_path, content, max_rows):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(content)
+        rec = load_record(path, max_rows=max_rows)
+        assert rec.channel_labels == ["a", "b"] and rec.sample_rate_hz == 2.0
+        assert rec.channels.tolist() == [[1.0, 3.0, 5.0][:max_rows], [2.0, 4.0, 6.0][:max_rows]]
+        assert read_result(path).rows == [[1, 2], [3, 4], [5, 6]]
+
+
+class TestRecordMemory:
+    """A record read or write holds bytes and arrays, not a Python object per line or cell."""
+
+    @staticmethod
+    def peak_bytes(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        return MultichannelSeries(np.random.default_rng(7).standard_normal((4, 20_000)))
+
+    def test_write_holds_one_chunk(self, tmp_path, series):
+        assert self.peak_bytes(write_record, series, tmp_path / "rec.csv") < 2 * 2 ** 20
+
+    def test_load_holds_under_two_and_a_half_file_sizes(self, tmp_path, series):
+        path = tmp_path / "rec.csv"
+        write_record(series, path)
+        assert self.peak_bytes(load_record, path) < 2.5 * path.stat().st_size
+
+    @pytest.mark.parametrize("chunk", [1, 3, None], ids=["1", "3", "default"])
+    def test_array_and_list_rows_write_alike(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(dataio, "_CHUNK", chunk)
+        table = np.array(EDGE_FLOATS[:12]).reshape(4, 3)
+        written = []
+        for k, rows in enumerate([table, table.tolist(), [list(row) for row in table]]):
+            path = tmp_path / ("rows%d.csv" % k)
+            write_result(ResultFile(columns=["a", "b", "c"], rows=rows), path)
+            written.append(path.read_bytes())
+        lines = [",".join(map(repr, row)) for row in table.tolist()]
+        assert written == [("a,b,c\n" + "\n".join(lines) + "\n").encode()] * 3
 
 
 samples = st.one_of(st.sampled_from(EDGE_FLOATS),
@@ -349,6 +404,15 @@ class TestRecordParseErrors:
         path.write_bytes(b"a,b\n1,\xff\n")
         with pytest.raises(RecordParseError, match="not UTF-8"):
             load_record(path)
+
+    @pytest.mark.parametrize("content", [b"a,\xff\n1,2\n", b"# k = \xff\na,b\n1,2\n"],
+                             ids=["header", "metadata"])
+    @pytest.mark.parametrize("read", [load_record, read_result], ids=["load", "read"])
+    def test_not_utf8_above_the_rows_is_a_parse_error(self, tmp_path, content, read):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(content)
+        with pytest.raises(RecordParseError, match="not UTF-8"):
+            read(path)
 
     @pytest.mark.parametrize("kwargs", [{"offset": -1}, {"max_rows": 0}])
     def test_bad_window_rejected(self, tmp_path, kwargs):

@@ -27,7 +27,11 @@ Cases, all with fixed seeds:
 - ``acceptance10_p<P>_<estimator>``: `vemse` and `mmse` on the input of
   acceptance criterion 10 (P = 2 and 4 white-noise channels of 5000
   samples, m = 2, r = 0.15, scale 1), which requires vemse to be no
-  slower than mmse.
+  slower than mmse;
+- ``record_io_shape``: `load_record` and then `write_record` of a
+  100000 x 4 AR(2) record (about 7.9 MB), as `vemse surrogate` reads and
+  writes one; its peak resident set is the record path's memory, and the
+  two sides must write the same bytes.
 
 Each of the ROUNDS rounds times every case once in a fresh process per
 checkout, this checkout and then --base, or --base first on
@@ -44,6 +48,7 @@ This is not the gated benchmark under benchmarks/ and gates nothing.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -51,6 +56,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -66,14 +72,15 @@ CHANNELS = {"channel_5k": (5_000, 5), "channel_20k": (20_000, 2),
 ACCEPTANCE_10 = {"acceptance10_p%d_%s" % (p, est): (p, est)
                  for p in (2, 4) for est in ("vemse", "mmse")}
 CASES = list(CHANNELS) + ["compute_shape", "sweep_r_shape", "mmse_compute_shape",
-                          "mmse_wide_radius", "mmse_20k"] + list(ACCEPTANCE_10)
+                          "mmse_wide_radius", "mmse_20k"] + list(ACCEPTANCE_10) + ["record_io_shape"]
 
 
 def run_case(name):
     """Time one case in this process; returns (seconds, what it computed)."""
     import numpy as np
     from vemse import (AR2, EntropyParams, ModelBundle, MultichannelSeries, ToleranceRule,
-                       coarse_grain, generate_ar, mmse, resolve_tolerance, vemse)
+                       coarse_grain, generate_ar, load_record, mmse, resolve_tolerance, vemse,
+                       write_record)
     from vemse.estimators import _pair_counts
     from vemse.experiments import realize_bundle
 
@@ -121,6 +128,17 @@ def run_case(name):
                                             for c in range(4)]))
         once = lambda: mmse(data, [2] * 4, ToleranceRule.trace(0.15)).probs
         warm_up_mmse()
+    elif name == "record_io_shape":
+        reps = 3
+        work = tempfile.TemporaryDirectory()  # removed when run_case returns
+        src, out = os.path.join(work.name, "rec.csv"), os.path.join(work.name, "out.csv")
+        write_record(MultichannelSeries(np.stack([generate_ar(AR2, 100_000, seed=(0, 0, c))
+                                                  for c in range(4)])), src)
+
+        def once():
+            write_record(load_record(src), out)
+            with open(out, "rb") as fh:
+                return hashlib.sha256(fh.read()).hexdigest()
     else:
         reps = 5
         p, estimator = ACCEPTANCE_10[name]
