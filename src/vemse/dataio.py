@@ -33,10 +33,10 @@ import numpy as np
 
 from .series import (
     EntropyCurve,
-    InvalidParameterError,
     MultichannelSeries,
     RecordParseError,
     VemseError,
+    whole_number,
 )
 
 __all__ = [
@@ -315,9 +315,9 @@ def load_record(path, columns=None, max_rows=None, offset: int = 0) -> Multichan
     np.loadtxt call; lines are built only to locate a bad cell. So a
     read holds about twice the file's size at its peak.
     """
-    if offset < 0 or (max_rows is not None and max_rows < 1):
-        raise InvalidParameterError(
-            "need offset >= 0 and max_rows >= 1, got %r and %r" % (offset, max_rows))
+    offset = whole_number(offset, "offset", low=0)
+    if max_rows is not None:
+        max_rows = whole_number(max_rows, "max_rows", low=1)
     metadata, labels, block = _read_table(path, None if max_rows is None else offset + max_rows)
     if block.count(b"\n") == len(block):  # only blank lines; strip() would copy the block
         raise RecordParseError("%s: no data rows" % (path,))

@@ -113,7 +113,7 @@ def _radii(data, rules) -> list:
     radii, trace = [], None
     for rule in rules:
         if rule.mode == "absolute":
-            radii.append(float(rule.value))
+            radii.append(rule.value)
             continue
         if trace is None:
             chans = data.channels if isinstance(data, MultichannelSeries) else np.atleast_2d(

@@ -27,6 +27,7 @@ from .series import (
     InvalidParameterError,
     MultichannelSeries,
     ToleranceRule,
+    real_number,
     whole_number,
 )
 from .signals import (
@@ -90,8 +91,7 @@ class ModelBundle:
     def __post_init__(self):
         if not self.kinds:
             raise InvalidParameterError("bundle %r has no channels" % (self.name,))
-        if self.noise_ratio < 0:
-            raise InvalidParameterError("noise_ratio must be >= 0")
+        self.noise_ratio = real_number(self.noise_ratio, "noise_ratio", inclusive=True)
         noise = [] if self.noise_kind is None else [self.noise_kind]
         for kind in [*self.kinds, *noise]:
             if kind not in MODEL_KINDS:
@@ -145,15 +145,9 @@ class SweepSpec:
         if not self.bundles:
             raise InvalidParameterError("model_set must be non-empty")
         _check_unique([b.name for b in self.bundles])
-        self.n_samples = whole_number(self.n_samples, "n_samples")
-        self.realizations = whole_number(self.realizations, "realizations")
-        self.base_seed = whole_number(self.base_seed, "base_seed")
-        if self.n_samples < 1:
-            raise InvalidParameterError("n_samples must be >= 1")
-        if self.realizations < 1:
-            raise InvalidParameterError("realizations must be >= 1")
-        if self.base_seed < 0:
-            raise InvalidParameterError("base_seed must be >= 0")
+        self.n_samples = whole_number(self.n_samples, "n_samples", low=1)
+        self.realizations = whole_number(self.realizations, "realizations", low=1)
+        self.base_seed = whole_number(self.base_seed, "base_seed", low=0)
         # each point's parameters, refused with the estimators' own message
         # (r must be > 0, m must be >= 1, ...) before anything is drawn
         vary = self.swept_parameter
@@ -296,6 +290,7 @@ def noise_robustness_study(
     """
     if noise_kind not in ("wgn", "flicker"):
         raise InvalidParameterError("noise_kind must be wgn or flicker")
+    ratio = real_number(ratio, "ratio", inclusive=True)
     scales = list(scales) if scales is not None else list(range(1, 21))
     bundles = [
         ModelBundle.homogeneous("wgn"),
@@ -394,24 +389,21 @@ def timing_benchmark(
     values = list(values)
     if any(v % 1 != 0 for v in values):
         raise InvalidParameterError("%s values must be whole numbers" % (vary,))
-    n_samples = whole_number(n_samples, "n_samples")
-    channels = whole_number(channels, "channels")
-    runs = whole_number(runs, "runs")
-    base_seed = whole_number(base_seed, "base_seed")
-    if runs < 1:
-        raise InvalidParameterError("runs must be >= 1")
-    if base_seed < 0:
-        raise InvalidParameterError("base_seed must be >= 0")
+    runs = whole_number(runs, "runs", low=1)
+    base_seed = whole_number(base_seed, "base_seed", low=0)
+    grid = []
+    for v in values:  # every point is checked before the first draw
+        n, p, dim, scale = (v if vary == key else fixed for key, fixed in
+                            (("N", n_samples), ("channels", channels), ("m", m), ("scale", tau)))
+        params = EntropyParams(m=dim, r=r, scales=[scale])
+        grid.append((whole_number(n, "n_samples", low=1), whole_number(p, "channels", low=1),
+                     params.m, params.scales))
     ve_mean, ve_med, mm_mean, mm_med = [], [], [], []
-    for v in values:
-        n = int(v) if vary == "N" else n_samples
-        p = int(v) if vary == "channels" else channels
-        dim = int(v) if vary == "m" else m
-        scale = int(v) if vary == "scale" else tau
+    for n, p, dim, scales in grid:
         chans = realize_bundle(ModelBundle.homogeneous("wgn", p), n, base_seed, 0)
         times = {}
         for name in ("vemse", "mmse"):
-            fn = partial(_estimate_curve, name, chans, dim, r, 1, [scale])
+            fn = partial(_estimate_curve, name, chans, dim, r, 1, scales)
             fn()  # warm-up, untimed
             laps = []
             for _ in range(runs):

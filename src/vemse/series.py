@@ -23,11 +23,12 @@ class RecordParseError(VemseError):
     """An on-disk record could not be parsed; message carries row/column context."""
 
 
-def whole_number(value, name: str) -> int:
+def whole_number(value, name: str, low=None) -> int:
     """value as an int, for a parameter that counts: 2, 2.0 and numpy ints pass.
 
     A value with a fractional part (or a NaN, or no number at all) raises
-    InvalidParameterError rather than being truncated.
+    InvalidParameterError rather than being truncated, and so does one
+    below low, when low is given.
     """
     try:
         whole = value % 1 == 0
@@ -35,15 +36,30 @@ def whole_number(value, name: str) -> int:
         whole = False
     if not whole:
         raise InvalidParameterError("%s must be a whole number, got %r" % (name, value))
+    if low is not None and value < low:
+        raise InvalidParameterError("%s must be >= %d, got %r" % (name, low, value))
     return int(value)
 
 
-def _check_tolerance(value, name: str) -> None:
-    """Raise InvalidParameterError unless the tolerance value is > 0 and finite."""
-    if not value > 0:
-        raise InvalidParameterError("%s must be > 0, got %r" % (name, value))
-    if not math.isfinite(value):
+def real_number(value, name: str, inclusive: bool = False) -> float:
+    """value as a float, for a real parameter that must be finite and > 0.
+
+    With inclusive, 0 itself passes too. A NaN, an infinity, a value past
+    the bound or no number at all raises InvalidParameterError.
+    """
+    try:
+        above = value >= 0 if inclusive else value > 0
+        finite = math.isfinite(value)
+    except TypeError:
+        above = finite = False
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not above:
+        raise InvalidParameterError("%s must be %s 0, got %r"
+                                    % (name, ">=" if inclusive else ">", value))
+    if not finite:
         raise InvalidParameterError("%s must be finite, got %r" % (name, value))
+    return float(value)
 
 
 @dataclass
@@ -76,8 +92,8 @@ class MultichannelSeries:
             raise InvalidParameterError("channels contain non-finite samples")
         if self.channel_labels is not None and len(self.channel_labels) != arr.shape[0]:
             raise InvalidParameterError("channel_labels length does not match channel count")
-        if self.sample_rate_hz is not None and self.sample_rate_hz <= 0:
-            raise InvalidParameterError("sample_rate_hz must be positive")
+        if self.sample_rate_hz is not None:
+            self.sample_rate_hz = real_number(self.sample_rate_hz, "sample_rate_hz")
         self.channels = arr
 
     @property
@@ -106,13 +122,9 @@ class EntropyParams:
     scales: list[int] = field(default_factory=lambda: [1])
 
     def __post_init__(self):
-        self.m = whole_number(self.m, "m")
-        self.L = whole_number(self.L, "L")
-        if self.m < 1:
-            raise InvalidParameterError("m must be >= 1, got %r" % (self.m,))
-        if self.L < 1:
-            raise InvalidParameterError("L must be >= 1, got %r" % (self.L,))
-        _check_tolerance(self.r, "r")
+        self.m = whole_number(self.m, "m", low=1)
+        self.L = whole_number(self.L, "L", low=1)
+        self.r = real_number(self.r, "r")
         scales = [whole_number(s, "scale") for s in self.scales]
         if not scales:
             raise InvalidParameterError("scales must be non-empty")
@@ -142,7 +154,7 @@ class ToleranceRule:
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise InvalidParameterError("unknown tolerance mode %r" % (self.mode,))
-        _check_tolerance(self.value, "tolerance value")
+        self.value = real_number(self.value, "tolerance value")
 
     @classmethod
     def trace(cls, quotient: float) -> "ToleranceRule":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import InvalidParameterError
+from .series import InvalidParameterError, real_number, whole_number
 
 __all__ = [
     "ArModel",
@@ -38,10 +38,8 @@ class ArModel:
     def __post_init__(self):
         coeffs = tuple(float(a) for a in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
-        if self.innovation_sd <= 0:
-            raise InvalidParameterError("innovation_sd must be > 0")
-        if self.burn_in < 0:
-            raise InvalidParameterError("burn_in must be >= 0")
+        object.__setattr__(self, "innovation_sd", real_number(self.innovation_sd, "innovation_sd"))
+        object.__setattr__(self, "burn_in", whole_number(self.burn_in, "burn_in", low=0))
         if coeffs and np.any(np.abs(np.roots((1.0,) + tuple(-a for a in coeffs))) >= 1.0):
             raise InvalidParameterError(
                 "AR coefficients %r are not stationary" % (coeffs,))
@@ -66,10 +64,7 @@ def _rescale(x: np.ndarray, sd: float) -> np.ndarray:
 
 def generate_wgn(n: int, sd: float = 1.0, seed=0) -> np.ndarray:
     """IID Gaussian noise, rescaled to exact sample SD."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    if sd <= 0:
-        raise InvalidParameterError("sd must be > 0")
+    n, sd = whole_number(n, "n", low=1), real_number(sd, "sd")
     x = np.random.default_rng(seed).standard_normal(n)
     return _rescale(x, sd)
 
@@ -81,10 +76,7 @@ def generate_flicker(n: int, sd: float = 1.0, seed=0) -> np.ndarray:
     zeroed, giving a power spectrum proportional to 1/f, then inverted
     and rescaled to the exact sample SD.
     """
-    if n < 2:
-        raise InvalidParameterError("n must be >= 2")
-    if sd <= 0:
-        raise InvalidParameterError("sd must be > 0")
+    n, sd = whole_number(n, "n", low=2), real_number(sd, "sd")
     white = np.random.default_rng(seed).standard_normal(n)
     spec = np.fft.rfft(white)
     spec[0] = 0.0
@@ -96,10 +88,7 @@ def generate_flicker(n: int, sd: float = 1.0, seed=0) -> np.ndarray:
 
 def generate_ar(model: ArModel, n: int, seed=0, target_sd: float = 1.0) -> np.ndarray:
     """Simulate an AR model, drop the burn-in, rescale to the target SD."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    if target_sd <= 0:
-        raise InvalidParameterError("target_sd must be > 0")
+    n, target_sd = whole_number(n, "n", low=1), real_number(target_sd, "target_sd")
     rng = np.random.default_rng(seed)
     eps = model.innovation_sd * rng.standard_normal(n + model.burn_in)
     x = _ar_filter(model.coefficients, eps)[model.burn_in:]
@@ -143,8 +132,7 @@ def mix_noise(x, noise, amplitude_ratio: float) -> np.ndarray:
     noise = np.asarray(noise, dtype=float)
     if x.shape != noise.shape:
         raise InvalidParameterError("x and noise must have equal length")
-    if amplitude_ratio < 0:
-        raise InvalidParameterError("amplitude_ratio must be >= 0")
+    amplitude_ratio = real_number(amplitude_ratio, "amplitude_ratio", inclusive=True)
     if amplitude_ratio == 0:
         return x.copy()
     sd_noise = noise.std(ddof=1)

@@ -399,6 +399,14 @@ class TestGenerate:
         assert rec.n_channels == 3
         assert rec.channel(0).std(ddof=1) == pytest.approx(2.0, abs=1e-9)
 
+    def test_unwritable_output_exits_3_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        code, _, stderr = run(capsys, "generate", "--kind", "wgn", "--n", "10",
+                              "--output", str(path))
+        assert code == 3
+        assert stderr.startswith("error: cannot write %s: " % path)
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
     def test_unknown_kind(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "generate", "--kind", "brown", "--n", "10",
                               "--output", str(tmp_path / "x.csv"))

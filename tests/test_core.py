@@ -1,6 +1,7 @@
 """Unit tests for the shared estimator machinery."""
 import math
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -24,13 +25,16 @@ from vemse import (
     mix_noise,
     mmse,
     mse,
+    noise_robustness_study,
     resolve_tolerance,
     sampen,
+    timing_benchmark,
     vemse,
 )
 from vemse import estimators
 from vemse.estimators import _band_counts, _pair_counts, _sort_channel, _sweep_counts
 from vemse.experiments import generate_channel, realize_bundle
+from vemse.series import real_number, whole_number
 from oracles import naive_counts, naive_sampen, naive_templates, naive_vemse_point
 
 
@@ -395,6 +399,17 @@ class TestSeriesTypes:
         assert mmse(chans, [2.0, np.int64(2)], lags=[1.0, 1], scales=[np.int64(1), 2.0]).values \
             == mmse(chans, [2, 2], scales=[1, 2]).values
 
+    @pytest.mark.parametrize("value", [None, "2"])
+    def test_a_count_or_real_that_is_no_number_refused(self, value):
+        with pytest.raises(InvalidParameterError, match="m must be a whole number"):
+            whole_number(value, "m")
+        with pytest.raises(InvalidParameterError, match="r must be > 0"):
+            real_number(value, "r")
+
+    def test_an_int_past_the_float_range_is_not_finite(self):
+        with pytest.raises(InvalidParameterError, match="r must be finite"):
+            real_number(10 ** 400, "r")
+
     def test_channel_order_preserved(self):
         data = MultichannelSeries(np.array([[1.0, 2.0], [3.0, 4.0]]),
                                   channel_labels=["a", "b"])
@@ -403,6 +418,93 @@ class TestSeriesTypes:
 
 
 _WGN = [ModelBundle.homogeneous("wgn")]
+_NAN, _INF = float("nan"), float("inf")
+
+# (id, a call on the count, one step past its bound, the refusal of that step)
+_COUNTS = [
+    ("params-m", lambda v: EntropyParams(m=v), 0, "m must be >= 1"),
+    ("params-L", lambda v: EntropyParams(L=v), 0, "L must be >= 1"),
+    ("ar-burn-in", lambda v: ArModel((0.5,), burn_in=v), -1, "burn_in must be >= 0"),
+    ("wgn-n", generate_wgn, 0, "n must be >= 1"),
+    ("flicker-n", generate_flicker, 1, "n must be >= 2"),
+    ("ar-n", partial(generate_ar, AR2), 0, "n must be >= 1"),
+    ("sweep-n-samples", lambda v: SweepSpec("vemse", "r", [0.2], _WGN, n_samples=v), 0,
+     "n_samples must be >= 1"),
+    ("sweep-realizations", lambda v: SweepSpec("vemse", "r", [0.2], _WGN, realizations=v), 0,
+     "realizations must be >= 1"),
+    ("sweep-seed", lambda v: SweepSpec("vemse", "r", [0.2], _WGN, base_seed=v), -1,
+     "base_seed must be >= 0"),
+    ("timing-n-samples", lambda v: timing_benchmark("m", [2], n_samples=v, runs=1), 0,
+     "n_samples must be >= 1"),
+    ("timing-channels", lambda v: timing_benchmark("m", [2], channels=v, runs=1), 0,
+     "channels must be >= 1"),
+    ("timing-runs", lambda v: timing_benchmark("m", [2], runs=v), 0, "runs must be >= 1"),
+    ("timing-seed", lambda v: timing_benchmark("m", [2], runs=1, base_seed=v), -1,
+     "base_seed must be >= 0"),
+]
+# (id, a call on the real, one step past its bound, the refusal of that step, NaN and -inf)
+_REALS = [
+    ("params-r", lambda v: EntropyParams(r=v), 0.0, "r must be > 0"),
+    ("rule-value", ToleranceRule.absolute, 0.0, "tolerance value must be > 0"),
+    ("series-rate", lambda v: MultichannelSeries(np.eye(2, 5), sample_rate_hz=v), 0.0,
+     "sample_rate_hz must be > 0"),
+    ("ar-innovation-sd", lambda v: ArModel((0.5,), innovation_sd=v), 0.0,
+     "innovation_sd must be > 0"),
+    ("wgn-sd", lambda v: generate_wgn(10, v), 0.0, "sd must be > 0"),
+    ("flicker-sd", lambda v: generate_flicker(10, v), 0.0, "sd must be > 0"),
+    ("ar-target-sd", lambda v: generate_ar(AR2, 10, target_sd=v), 0.0, "target_sd must be > 0"),
+    ("mix-ratio", lambda v: mix_noise(np.ones(3), np.arange(3.0), v), -0.5,
+     "amplitude_ratio must be >= 0"),
+    ("bundle-noise-ratio", lambda v: ModelBundle("wgn", ["wgn"], "wgn", v), -0.1,
+     "noise_ratio must be >= 0"),
+    ("timing-r", lambda v: timing_benchmark("m", [2], r=v, runs=1), 0.0, "r must be > 0"),
+    ("noise-ratio", lambda v: noise_robustness_study(ratio=v, n_samples=50, scales=[1],
+                                                     realizations=1), -0.1, "ratio must be >= 0"),
+]
+# (varied parameter, a good first grid point, a point past the bound, its refusal)
+_GRID = [
+    ("N", 50, 0, "n_samples must be >= 1"),
+    ("channels", 2, 0, "channels must be >= 1"),
+    ("m", 2, 0, "m must be >= 1"),
+    ("scale", 1, 0, "scales must be strictly increasing and >= 1"),
+]
+
+
+def _timing_grid(vary, first, v):
+    return timing_benchmark(vary, [first, v], n_samples=50, runs=1)
+
+
+def _edge_rows():
+    """(id, call, bad value, refusal) for NaN, both infinities and one step past each bound.
+
+    A count is also given a fraction. A timing grid point that is not a
+    whole number is refused by the check on all the values, in its words.
+    """
+    rows = []
+    for site, make, past, message in _COUNTS:
+        whole = message.split(" must")[0] + " must be a whole number"
+        rows += [(site + "-past", make, past, message)]
+        rows += [("%s-%r" % (site, v), make, v, whole) for v in (_NAN, _INF, -_INF, 2.5)]
+    for site, make, past, message in _REALS:
+        finite = message.split(" must")[0] + " must be finite"
+        rows += [(site + "-past", make, past, message)]
+        rows += [("%s-%r" % (site, v), make, v, m) for v, m in
+                 [(_NAN, message), (_INF, finite), (-_INF, message)]]
+    for vary, first, past, message in _GRID:
+        make, whole = partial(_timing_grid, vary, first), "%s values must be whole numbers" % vary
+        rows += [("timing-grid-%s-past" % vary, make, past, message)]
+        rows += [("timing-grid-%s-%r" % (vary, v), make, v, whole)
+                 for v in (_NAN, _INF, -_INF, 2.5)]
+    return rows
+
+
+def _undrawn(make, value):
+    """make(value), failing the test if an ensemble draw starts."""
+    with mock.patch("vemse.experiments.realize_bundle", side_effect=AssertionError("drawn")):
+        make(value)
+
+
+_EDGES = _edge_rows()
 
 
 @pytest.mark.parametrize("make, message", [
@@ -428,7 +530,8 @@ _WGN = [ModelBundle.homogeneous("wgn")]
     (lambda: mix_noise(np.ones(3), np.ones(4), 0.5), "equal length"),
     (lambda: mix_noise(np.ones(3), np.ones(3), -0.5), "amplitude_ratio must be >= 0"),
     (lambda: MultichannelSeries(np.eye(2, 5), channel_labels=["a"]), "channel_labels length"),
-    (lambda: MultichannelSeries(np.eye(2, 5), sample_rate_hz=0.0), "must be positive"),
+    (lambda: MultichannelSeries(np.eye(2, 5), sample_rate_hz=0.0), "must be > 0"),
+    *[(partial(_undrawn, make, v), "^" + message) for _, make, v, message in _EDGES],
     (lambda: ToleranceRule("relative", 0.2), "unknown tolerance mode"),
     (lambda: EntropyCurve([1, 2], [0.5]), "length mismatch"),
     (lambda: resolve_tolerance(np.ones((2, 1)), ToleranceRule.trace(0.2)), ">= 2 samples"),
@@ -437,6 +540,7 @@ _WGN = [ModelBundle.homogeneous("wgn")]
         "sweep-no-values", "sweep-not-increasing", "sweep-realizations", "sweep-seed",
         "channel-kind", "ar-innovation-sd", "ar-burn-in", "wgn-n", "flicker-n", "flicker-sd",
         "ar-n", "ar-target-sd", "mix-lengths", "mix-ratio", "series-labels", "series-rate",
+        *[site for site, _, _, _ in _EDGES],
         "rule-mode", "curve-lengths", "trace-one-sample"])
 def test_invalid_parameters_raise(make, message):
     with pytest.raises(InvalidParameterError, match=message):

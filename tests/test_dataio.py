@@ -421,6 +421,22 @@ class TestRecordParseErrors:
         with pytest.raises(InvalidParameterError):
             load_record(path, **kwargs)
 
+    @pytest.mark.parametrize("name, past", [("offset", -1), ("max_rows", 0)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, None],
+                             ids=["nan", "inf", "-inf", "fraction", "past-the-bound"])
+    def test_window_takes_whole_numbers_only(self, tmp_path, name, past, bad):
+        path = tmp_path / "rec.csv"
+        path.write_text("a\n1\n2\n")
+        refusal = "must be >=" if bad is None else "must be a whole number"
+        with pytest.raises(InvalidParameterError, match="^%s %s" % (name, refusal)):
+            load_record(path, **{name: past if bad is None else bad})
+
+    @pytest.mark.parametrize("whole", [2.0, np.int64(2)], ids=["float", "numpy-int"])
+    def test_window_takes_whole_floats_and_numpy_ints(self, tmp_path, whole):
+        path = tmp_path / "rec.csv"
+        path.write_text("a\n1\n2\n3\n4\n5\n")
+        assert load_record(path, max_rows=whole, offset=whole).channels.tolist() == [[3.0, 4.0]]
+
 
 class TestResultCells:
     def test_padded_underscored_and_non_ascii_cells_stay_strings(self, tmp_path):

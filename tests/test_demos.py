@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vemse
@@ -31,6 +32,17 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_readme_quick_start_runs_as_written():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python("-c", block)
+    assert proc.returncode == 0, proc.stderr
+    chans = np.stack([vemse.generate_ar(vemse.AR2, 2000, seed=(7, 0, c)) for c in range(2)])
+    curve = vemse.vemse(vemse.MultichannelSeries(chans), vemse.EntropyParams(scales=range(1, 21)))
+    assert proc.stdout == "".join("%s %s\n" % point for point in zip(curve.scales, curve.values))
 
 
 def test_estimator_tour_demo_runs():

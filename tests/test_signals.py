@@ -39,6 +39,11 @@ class TestWgn:
         with pytest.raises(InvalidParameterError):
             generate_wgn(10, 0.0, 1)
 
+    def test_one_sample_is_the_raw_draw(self):
+        # no sample SD to rescale to
+        raw = np.random.default_rng(3).standard_normal(1)
+        assert generate_wgn(1, 5.0, 3).tolist() == raw.tolist()
+
 
 class TestFlicker:
     def test_deterministic(self):

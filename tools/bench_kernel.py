@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -178,13 +179,16 @@ def main(argv=None):
         return 0
 
     import numpy
-    import scipy
+    try:  # recorded as a machine fact only; the package does not need scipy
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
     sides = {"change": os.path.join(ROOT, "src")}
     if args.base:
         sides["base"] = os.path.join(os.path.abspath(args.base), "src")
     report = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": numpy.__version__, "scipy": scipy.__version__},
+                    "numpy": numpy.__version__, "scipy": scipy_version},
         "rounds": ROUNDS, "cases": {},
     }
     for name in CASES:
