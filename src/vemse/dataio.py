@@ -292,8 +292,9 @@ def load_record(path, columns=None, max_rows=None, offset: int = 0) -> Multichan
     Parameters
     ----------
     columns : list of int or str, optional
-        Select and order channels (indices or header labels); selection
-        order becomes channel order, which matters for directionality.
+        Select and order channels (at least one; whole-number indices or
+        header labels); selection order becomes channel order, which
+        matters for directionality.
     max_rows : int, optional
         Keep at most this many samples (>= 1). Only the first
         offset + max_rows data rows are read and checked; rows past them
@@ -332,9 +333,12 @@ def load_record(path, columns=None, max_rows=None, offset: int = 0) -> Multichan
                         path, "no" if col not in labels else "more than one", col))
                 sel.append(labels.index(col))
             else:
+                col = whole_number(col, "column index")
                 if not 0 <= col < p:
                     raise RecordParseError("%s: column index %d out of range" % (path, col))
-                sel.append(int(col))
+                sel.append(col)
+        if not sel:
+            raise RecordParseError("%s: selection leaves no channels" % (path,))
         data = data[:, sel]
         labels = [labels[i] for i in sel]
     data = data[offset:]

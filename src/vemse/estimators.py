@@ -43,14 +43,14 @@ sample pairs are close, by one of two exact tests (_ranks_are_cheaper):
 
 mmse counts composite delay vectors with one pair walk per scale and
 radius (_cdv_probs): the templates are sorted by their first coordinate
-and cut into tiles, and each pair of tiles whose first coordinates come
-within the radius is tested cell by cell in numpy (_tile_pairs), so
-each pair within the radius at the base dims is listed once; each of
-the P bumped passes checks its one extra coordinate on those pairs.
+and cut into tiles, and each pair of tiles that the first coordinates'
+run ends (_run_ends) keep is tested cell by cell in numpy (_tile_pairs),
+listing each pair within the radius at the base dims once; each bumped
+pass checks its one extra coordinate, NaN past its templates, on those.
 mmse stays off the two counters above, where its channels would share
 one match mask and could overtake vemse, against the acceptance timing
 criterion (vemse no slower than mmse); on that criterion's input vemse
-runs about 4.2 times as fast as mmse at two channels and 2.6 times at
+runs about 3.6 times as fast as mmse at two channels and 2.7 times at
 four (BENCH_kernel.json).
 
 Undefined estimates (no matches at dimension m or m+1, or too few
@@ -163,11 +163,12 @@ def _rank_dtype(n: int):
 def _run_ends(s: np.ndarray, radius: float) -> np.ndarray:
     """end[q]: the first place p of sorted s whose computed s[p] - s[q] is past radius.
 
-    The computed difference never falls as s[p] grows (rounding is
-    monotone), so end[q] is exact when the place before it is within the
-    radius and the place at it is not. A search for s[q] + radius gives
-    that for all but the few q whose search rounding misled; those are
-    bisected on the computed difference itself.
+    The computed difference never falls as s[p] grows or as s[q] falls
+    (rounding is monotone), so end[q] is exact when the place before it
+    is within the radius and the place at it is not, and end never falls
+    as q grows. A search for s[q] + radius gives that for all but the
+    few q whose search rounding misled; those are bisected on the
+    computed difference itself.
     """
     n = s.size
     # an overflowing difference is infinite: past any finite radius
@@ -622,16 +623,10 @@ def _tile_pairs(cols, a, b, radius, scratch):
     """Sorted places (i, j), i in rows a and j in rows b, within the radius everywhere.
 
     a and b slice the columns of cols (one row per coordinate); within
-    one tile (a == b) only j > i is listed. Between two tiles, the rows
-    of each that are past the radius on coordinate 0 from every row of
-    the other are dropped first, by the tile skip's argument. The first
-    _DENSE coordinates are then tested on every cell, the rest on the
-    pairs those leave; each test is |difference| <= radius.
+    one tile (a == b) only j > i is listed. The first _DENSE coordinates
+    are tested on every cell, the rest on the pairs those leave; each
+    test is |difference| <= radius.
     """
-    first = cols[0]
-    if a != b:
-        a = slice(a.start + np.count_nonzero(first[b.start] - first[a] > radius), a.stop)
-        b = slice(b.start, b.start + np.count_nonzero(first[b] - first[a.stop - 1] <= radius))
     gap, close, near, upper = (buf[:a.stop - a.start, :b.stop - b.start] for buf in scratch)
     for k, col in enumerate(cols[:_DENSE]):
         np.abs(np.subtract(col[a, None], col[None, b], out=gap), out=gap)
@@ -660,14 +655,14 @@ def _cdv_probs(channels, dims, lags, radius: float):
     radius there.
 
     The templates are sorted once by their first coordinate (y_0[i]) and
-    cut, in that order, into tiles of _TILE. Each tile lists its own
-    pairs, and each later tile b the pairs between them (_tile_pairs), so
-    every base match is listed once, until the first b whose smallest
-    first coordinate less tile a's largest is past the radius. That skip
-    is exact: a computed difference never falls as its larger operand
-    grows, so every pair of tile a with tile b or a later one is past the
-    radius on coordinate 0. Listed rows are sorted places; order maps
-    them back to templates.
+    cut, in that order, into tiles of _TILE; every coordinate is kept in
+    that order, so the walk counts sorted places. With end = _run_ends of
+    the first coordinates, each tile a lists its own pairs, and each later
+    tile b that starts before end[a's last row] the pairs between them
+    (_tile_pairs): b stops there, and a drops its rows q with end[q] <= b's
+    start, which are past the radius from all of b. So every base match is
+    listed once. A bumped pass's added coordinate is NaN from template T_c
+    on, so a pair reaching past T_c never matches there.
     """
     n_t = channels[0].size
     lag = max(lags)
@@ -678,27 +673,24 @@ def _cdv_probs(channels, dims, lags, radius: float):
     order = np.argsort(channels[0][:t])
     cols = np.stack([y[k * l: k * l + t][order]
                      for y, m, l in zip(channels, dims, lags) for k in range(m)])
-    first = cols[0]
+    # extras[c][q]: y_c[i + m_c*l_c] for the template i at sorted place q
+    extras = [np.append(y[m * l: m * l + tb], np.full(t - tb, np.nan))[order]
+              for y, m, l, tb in zip(channels, dims, lags, t_bump)]
+    end = _run_ends(cols[0], radius)
     shape = (_TILE, _TILE)
     scratch = (np.empty(shape), np.empty(shape, bool), np.empty(shape, bool),
                np.triu(np.ones(shape, bool), 1))
-    # extras[c][i] = y_c[i + m_c*l_c], the coordinate bumped pass c adds
-    extras = [y[m * l:] for y, m, l in zip(channels, dims, lags)]
     base = 0
     bumped = [0] * len(dims)
     for lo in range(0, t, _TILE):
-        a = slice(lo, min(lo + _TILE, t))
-        for start in range(lo, t, _TILE):
-            if first[start] - first[a.stop - 1] > radius:
-                break
-            i, j = _tile_pairs(cols, a, slice(start, min(start + _TILE, t)), radius, scratch)
-            i, j = order[i], order[j]
+        hi = min(lo + _TILE, t)
+        edge = end[hi - 1]
+        for start in range(lo, edge, _TILE):
+            a = slice(lo + np.count_nonzero(end[lo:hi] <= start), hi)
+            i, j = _tile_pairs(cols, a, slice(start, min(start + _TILE, edge)), radius, scratch)
             base += i.size
-            last = np.maximum(i, j)
             for c, extra in enumerate(extras):
-                inside = last < t_bump[c]
-                bumped[c] += np.count_nonzero(
-                    np.abs(extra[i[inside]] - extra[j[inside]]) <= radius)
+                bumped[c] += np.count_nonzero(np.abs(extra[i] - extra[j]) <= radius)
     return _prob(base, t), math.fsum(map(_prob, bumped, t_bump)) / len(dims)
 
 
@@ -723,11 +715,11 @@ def mmse(
     Each scale makes one pair walk: the templates are sorted by their
     first coordinate and cut into tiles of _TILE, and each template pair
     within the radius at dims is listed once, by testing a tile against
-    itself and against each later tile in numpy; a pair of tiles whose
-    first coordinates lie farther apart than the radius is never listed,
-    since none of its pairs can match. Each bumped pass keeps the pairs
-    among its own templates whose added coordinate is within the radius
-    too. The counts equal those of P + 1 separate passes.
+    itself and against each later tile in numpy; the first coordinates'
+    run ends (_run_ends) cut away exactly the tiles and rows past the
+    radius there. Each bumped pass keeps the listed pairs whose added
+    coordinate, NaN past its own templates, is within the radius too. The
+    counts equal those of P + 1 separate passes.
 
     Parameters
     ----------

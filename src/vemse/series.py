@@ -85,9 +85,9 @@ class MultichannelSeries:
         arr = np.asarray(self.channels, dtype=float)
         if arr.ndim == 1:
             arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] < 1:
+        if arr.ndim != 2 or min(arr.shape) < 1:
             raise InvalidParameterError(
-                "channels must be a (P, N) array with N >= 1, got shape %s" % (arr.shape,))
+                "channels must be a (P, N) array with P, N >= 1, got shape %s" % (arr.shape,))
         if not np.all(np.isfinite(arr)):
             raise InvalidParameterError("channels contain non-finite samples")
         if self.channel_labels is not None and len(self.channel_labels) != arr.shape[0]:

@@ -531,6 +531,12 @@ _EDGES = _edge_rows()
     (lambda: mix_noise(np.ones(3), np.ones(3), -0.5), "amplitude_ratio must be >= 0"),
     (lambda: MultichannelSeries(np.eye(2, 5), channel_labels=["a"]), "channel_labels length"),
     (lambda: MultichannelSeries(np.eye(2, 5), sample_rate_hz=0.0), "must be > 0"),
+    # no channels: vemse and mmse failed in np.stack or blamed a zero trace
+    *[(make, r"P, N >= 1, got shape \(0, 50\)") for make in [
+        lambda: MultichannelSeries(np.empty((0, 50))),
+        lambda: vemse(np.empty((0, 50)), EntropyParams(), ToleranceRule.absolute(0.2)),
+        lambda: vemse(np.empty((0, 50)), EntropyParams()),
+        lambda: mmse(np.empty((0, 50)), [], ToleranceRule.absolute(0.2))]],
     *[(partial(_undrawn, make, v), "^" + message) for _, make, v, message in _EDGES],
     (lambda: ToleranceRule("relative", 0.2), "unknown tolerance mode"),
     (lambda: EntropyCurve([1, 2], [0.5]), "length mismatch"),
@@ -540,6 +546,8 @@ _EDGES = _edge_rows()
         "sweep-no-values", "sweep-not-increasing", "sweep-realizations", "sweep-seed",
         "channel-kind", "ar-innovation-sd", "ar-burn-in", "wgn-n", "flicker-n", "flicker-sd",
         "ar-n", "ar-target-sd", "mix-lengths", "mix-ratio", "series-labels", "series-rate",
+        "series-no-channels", "vemse-no-channels-absolute", "vemse-no-channels-trace",
+        "mmse-no-channels",
         *[site for site, _, _, _ in _EDGES],
         "rule-mode", "curve-lengths", "trace-one-sample"])
 def test_invalid_parameters_raise(make, message):

@@ -353,6 +353,8 @@ class TestRecordParseErrors:
         ("a,b\n1,2\n \n", {}, "row 2 has 1 values, expected 2$"),
         ("a,b\n1,2\n", {"columns": [2]}, "column index 2 out of range$"),
         ("a,b\n1,2\n3,4\n", {"offset": 2}, "selection leaves no samples$"),
+        ("a,b\n1,2\n", {"columns": [-1]}, "column index -1 out of range$"),
+        ("a,b\n1,2\n", {"columns": []}, "selection leaves no channels$"),
     ])
     def test_message(self, tmp_path, text, kwargs, message):
         path = tmp_path / "bad.csv"
@@ -436,6 +438,24 @@ class TestRecordParseErrors:
         path = tmp_path / "rec.csv"
         path.write_text("a\n1\n2\n3\n4\n5\n")
         assert load_record(path, max_rows=whole, offset=whole).channels.tolist() == [[3.0, 4.0]]
+
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf, None],
+                             ids=["fraction", "nan", "inf", "none"])
+    def test_column_index_takes_whole_numbers_only(self, tmp_path, bad):
+        # 1.5 loaded column 1; nan, inf and None escaped as other errors
+        path = tmp_path / "rec.csv"
+        path.write_text("a,b,c\n1,2,3\n")
+        with pytest.raises(InvalidParameterError, match="^column index must be a whole number"):
+            load_record(path, columns=[0, bad])
+
+    @pytest.mark.parametrize("whole", [2.0, np.int64(2)], ids=["float", "numpy-int"])
+    def test_column_index_takes_whole_floats_and_numpy_ints(self, tmp_path, whole):
+        path = tmp_path / "rec.csv"
+        path.write_text("a,b,c\n1,2,3\n4,5,6\n")
+        series = load_record(path, columns=[whole, 0])
+        assert series.channels.tolist() == [[3.0, 6.0], [1.0, 4.0]]
+        assert series.channel_labels == ["c", "a"]
 
 
 class TestResultCells:
