@@ -3,13 +3,14 @@
 Each subcommand is declared once, in _COMMANDS: its help line, its
 options and its --emit-plot lines. The flags, the echoed configuration,
 the metadata, replay and the plot script all derive from it. Every
-run converts and checks all its options once, before any work, prints
-its fully resolved configuration (defaults included), writes its data
-in the CSV result format, and is byte-for-byte reproducible given an
-explicit seed. compute also prints the radius its curve matched with,
-when one radius served every scale. The metadata block of an output
-file is sufficient to replay the run (see replay()), which goes through
-the same conversion, checks and echo.
+run converts and checks all its options once, before any work (one
+rule per kind of option text in _values, then its library call's own
+checks in _check_call), prints its fully resolved configuration
+(defaults included), writes its data in the CSV result format, and is
+byte-for-byte reproducible given an explicit seed. compute also prints
+the radius its curve matched with, when one radius served every scale.
+The metadata block of an output file is sufficient to replay the run
+(see replay()), which goes through the same conversion, checks and echo.
 
 Exit status: 0 success (undefined entropy points are still success),
 2 invalid configuration, 3 input parse error.
@@ -43,6 +44,7 @@ from .series import (
     MultichannelSeries,
     ToleranceRule,
     VemseError,
+    whole_number,
 )
 from .signals import shuffle_surrogate
 
@@ -76,15 +78,13 @@ def parse_values(spec: str):
     spec = spec.strip()
     if ".." not in spec and ":" not in spec:
         out = []
-        for tok in filter(None, _items(spec)):  # empty items are skipped
+        for tok in _items(spec):
             value = _int(tok)
             if value is None and _DECIMAL.fullmatch(tok):
                 value = float(tok)
             if value is None:
                 raise CliConfigError("bad value %r in list" % (tok,))
             out.append(value)
-        if not out:
-            raise CliConfigError("empty value list %r" % (spec,))
         return out
     if ".." in spec:
         lo, hi = (_int(t.strip()) for t in spec.split("..", 1))
@@ -107,19 +107,22 @@ def parse_values(spec: str):
 
 
 def _items(text: str) -> list:
-    """The items of a comma list, each unpadded (--models)."""
-    return [item.strip() for item in text.split(",")]
+    """The items of a comma list, each unpadded, its empty items skipped;
+    a list with no item left is refused. Every list option splits here."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise CliConfigError("empty value list %r" % (text,))
+    return items
 
 
 def _columns(text: str):
     """--columns as indices and labels, or None when empty; an index is ASCII digits."""
-    columns = []
-    for tok in _items(text):
-        column = _int(tok) if tok.lstrip("-").isdigit() else tok
-        if column is None:
-            raise CliConfigError("index %r is not an int written in ASCII digits" % (tok,))
-        columns.append(column)
-    return columns if text.strip() else None
+    if not text.strip():
+        return None
+    columns = [_int(tok) if tok.lstrip("-").isdigit() else tok for tok in _items(text)]
+    if None in columns:
+        raise CliConfigError("%r holds an index not written in ASCII digits" % (text.strip(),))
+    return columns
 
 
 _REQUIRED = object()
@@ -131,7 +134,7 @@ class _Opt(NamedTuple):
     A bool option is a flag, an int is written [+-]?[0-9]+, a float as an
     ASCII decimal number, and a list option's type is its converter. choices
     bound the value, or each item of a list, exactly. low is the least int
-    allowed; a float must be finite and greater than its low.
+    allowed; a float must be finite and > 0.
     """
 
     key: str
@@ -139,13 +142,13 @@ class _Opt(NamedTuple):
     default: object = _REQUIRED
     help: str = ""
     choices: tuple = ()
-    low: float | None = None
+    low: int | None = None
 
 
 _ESTIMATOR = _Opt("estimator", str, "vemse", choices=experiments.ESTIMATORS)
 _M = _Opt("m", int, 2, "base embedding dimension", low=1)
 _R = _Opt("r", float, 0.15, "tolerance quotient (or absolute radius with "
-          "--tolerance-mode absolute)", low=0)
+          "--tolerance-mode absolute)")
 _L = _Opt("L", int, 1, "time lag", low=1)
 _SEED = _Opt("seed", int, 0, low=0)
 _RECORD = (
@@ -192,7 +195,7 @@ _COMMANDS = {
     "generate": _Command("write a synthetic record file", (
         _Opt("kind", str, choices=experiments.MODEL_KINDS),
         _Opt("n", int, low=1),
-        _Opt("sd", float, 1.0, low=0),
+        _Opt("sd", float, 1.0),
         _SEED,
         _Opt("channels", int, 1, low=1),
     )),
@@ -231,12 +234,14 @@ def _values(cfg: dict):
     """The typed option values of a string config, and the config as echoed and written.
 
     The one converter of option text, for the command line and replay,
-    run before any work. A scalar is written as converted (--r 0.20 writes
-    r = 0.2), a list option as typed, unpadded.
+    run before any work; it ends with _check_call. A scalar is written as
+    converted (--r 0.20 writes r = 0.2), a list option as typed, unpadded.
     """
     values, text = {}, {"command": cfg["command"]}
     for opt in _COMMANDS[cfg["command"]].options:
-        flag, raw = _flag_name(opt.key), cfg[opt.key]
+        flag, raw = _flag_name(opt.key), cfg.get(opt.key)
+        if raw is None:
+            raise CliConfigError("the %s metadata has no %s" % (cfg["command"], opt.key))
         if opt.type is bool:
             if raw not in ("true", "false"):
                 raise CliConfigError("%s must be true or false, got %r" % (flag, raw))
@@ -245,15 +250,14 @@ def _values(cfg: dict):
             value = None
         elif opt.type is float:
             value = float(raw) if _DECIMAL.fullmatch(raw) else np.nan
-            if not (value > opt.low and np.isfinite(value)):
-                raise CliConfigError("%s must be finite and > %g, written as a decimal "
-                                     "number, got %r" % (flag, opt.low, raw))
+            if not (value > 0 and np.isfinite(value)):
+                raise CliConfigError("%s must be finite and > 0, written as a decimal "
+                                     "number, got %r" % (flag, raw))
         elif opt.type is int:
             value = _int(raw)
             if value is None:
                 raise CliConfigError("%s: %r is not a valid int" % (flag, raw))
-            if opt.low is not None and value < opt.low:
-                raise CliConfigError("%s must be >= %d, got %d" % (flag, opt.low, value))
+            value = whole_number(value, flag, low=opt.low)
         else:
             try:
                 value = opt.type(raw)
@@ -266,7 +270,28 @@ def _values(cfg: dict):
                                          % (flag, ", ".join(opt.choices), item))
         values[opt.key] = value
         text[opt.key] = _text(value) if isinstance(opt.type, type) else raw.strip()
+    _check_call(cfg["command"], values)
     return values, text
+
+
+def _check_call(command: str, values: dict) -> None:
+    """Make the checks of the command's library call before the echo and before any
+    record is opened or drawn; a sweep keeps the SweepSpec it builds for run_sweep."""
+    if command == "compute":
+        experiments._estimate_params(values["estimator"], values["m"], values["L"],
+                                     values["scales"], values, _flag_name)
+    elif command == "sweep":
+        values["spec"] = experiments.SweepSpec(
+            estimator=values["estimator"],
+            swept_parameter=values["vary"],
+            sweep_values=values["values"],
+            bundles=[experiments.ModelBundle.homogeneous(kind, values["channels"])
+                     for kind in values["models"]],
+            m=values["m"], r=values["r"], lag=values["L"], n_samples=values["n"],
+            tau=values["tau"], realizations=values["realizations"], base_seed=values["seed"])
+    elif command == "bench":
+        experiments._timing_grid(values["vary"], values["values"], values["n"],
+                                 values["channels"], values["m"], values["tau"], values["r"])
 
 
 # -- command bodies: each takes the typed values and the string config it
@@ -290,15 +315,7 @@ def run_compute(values: dict, cfg: dict) -> ResultFile:
 
 
 def run_sweep(values: dict, cfg: dict) -> ResultFile:
-    spec = experiments.SweepSpec(
-        estimator=values["estimator"],
-        swept_parameter=values["vary"],
-        sweep_values=values["values"],
-        bundles=[experiments.ModelBundle.homogeneous(kind, values["channels"])
-                 for kind in values["models"]],
-        m=values["m"], r=values["r"], lag=values["L"], n_samples=values["n"],
-        tau=values["tau"], realizations=values["realizations"], base_seed=values["seed"])
-    return ensemble_to_resultfile(experiments.run_sweep(spec), metadata=cfg)
+    return ensemble_to_resultfile(experiments.run_sweep(values["spec"]), metadata=cfg)
 
 
 def run_generate(values: dict, cfg: dict) -> ResultFile:
@@ -352,13 +369,8 @@ def replay(result_path, out_path) -> ResultFile:
     (bench timings vary by nature).
     """
     metadata = _read_table(result_path, 0)[0]
-    command = metadata.get("command")
-    if command not in _RUNNERS:
+    if metadata.get("command") not in _RUNNERS:
         raise CliConfigError("file %s has no replayable command metadata" % (result_path,))
-    for opt in _COMMANDS[command].options:
-        if opt.key not in metadata:
-            raise CliConfigError("file %s: the %s metadata has no %s"
-                                 % (result_path, command, opt.key))
     return _run(metadata, out_path)
 
 

@@ -156,6 +156,8 @@ class SweepSpec:
             EntropyParams(m=int(v) if vary == "m" else self.m,
                           r=float(v) if vary == "r" else self.r, L=self.lag,
                           scales=v if vary == "scale" else [self.tau])
+            if vary == "N":
+                whole_number(v, "n_samples", low=1)
 
 
 @dataclass
@@ -198,22 +200,28 @@ def _ensemble(rows, values, realizations) -> EnsembleResult:
                           realizations=realizations)
 
 
+def _estimate_params(estimator, m, lag, scales, flags, name=str) -> EntropyParams:
+    """An estimate's EntropyParams; mmse refuses the flags only vemse reads
+    (normalize, which mmse always does, per_scale_tolerance and
+    equal_template_count) when set in flags, naming each as name(key)."""
+    params = EntropyParams(m=m, L=lag, scales=list(scales))
+    for key in ("normalize", "per_scale_tolerance", "equal_template_count"):
+        if estimator == "mmse" and flags.get(key):
+            raise InvalidParameterError("mmse does not take %s" % (name(key),))
+    return params
+
+
 def _estimate_curves(estimator, channels, m, rules, lag, scales, **flags):
     """The one map from an estimator name to its call, on (P, N) channels.
 
     Returns one curve per ToleranceRule in rules, curve k under rules[k].
     sampen, mse and vemse count every rule in one pair-count pass per
     scale; mmse makes one call per rule. sampen and mse use the first
-    channel only. mmse embeds every channel at dimension m and lag `lag`,
-    and refuses the flags only vemse reads (normalize, which mmse always
-    does, per_scale_tolerance and equal_template_count).
+    channel only. mmse embeds every channel at dimension m and lag `lag`;
+    the parameters are checked by _estimate_params.
     """
-    params = EntropyParams(m=m, L=lag, scales=list(scales))
+    params = _estimate_params(estimator, m, lag, scales, flags)
     if estimator == "mmse":
-        for key in ("normalize", "per_scale_tolerance", "equal_template_count"):
-            if flags.get(key):
-                raise InvalidParameterError("mmse does not take %s (--%s)"
-                                            % (key, key.replace("_", "-")))
         p = channels.shape[0]
         return [mmse(MultichannelSeries(channels), [m] * p, rule, lags=[lag] * p,
                      scales=params.scales) for rule in rules]
@@ -367,6 +375,22 @@ class TimingReport:
     runs: int
 
 
+def _timing_grid(vary, values, n_samples, channels, m, tau, r) -> list:
+    """The (n, p, m, scales) of each timing point, all checked before the first draw."""
+    if vary not in TIMED_PARAMETERS:
+        raise InvalidParameterError("vary must be one of %s" % ", ".join(TIMED_PARAMETERS))
+    if any(v % 1 != 0 for v in values):
+        raise InvalidParameterError("%s values must be whole numbers" % (vary,))
+    grid = []
+    for v in values:
+        n, p, dim, scale = (v if vary == key else fixed for key, fixed in
+                            (("N", n_samples), ("channels", channels), ("m", m), ("scale", tau)))
+        params = EntropyParams(m=dim, r=r, scales=[scale])
+        grid.append((whole_number(n, "n_samples", low=1), whole_number(p, "channels", low=1),
+                     params.m, params.scales))
+    return grid
+
+
 def timing_benchmark(
     vary: str,
     values,
@@ -384,20 +408,10 @@ def timing_benchmark(
     One warm-up run per point is excluded; the mean and median of the
     timed runs are both reported. Runs are strictly sequential.
     """
-    if vary not in TIMED_PARAMETERS:
-        raise InvalidParameterError("vary must be one of %s" % ", ".join(TIMED_PARAMETERS))
     values = list(values)
-    if any(v % 1 != 0 for v in values):
-        raise InvalidParameterError("%s values must be whole numbers" % (vary,))
+    grid = _timing_grid(vary, values, n_samples, channels, m, tau, r)
     runs = whole_number(runs, "runs", low=1)
     base_seed = whole_number(base_seed, "base_seed", low=0)
-    grid = []
-    for v in values:  # every point is checked before the first draw
-        n, p, dim, scale = (v if vary == key else fixed for key, fixed in
-                            (("N", n_samples), ("channels", channels), ("m", m), ("scale", tau)))
-        params = EntropyParams(m=dim, r=r, scales=[scale])
-        grid.append((whole_number(n, "n_samples", low=1), whole_number(p, "channels", low=1),
-                     params.m, params.scales))
     ve_mean, ve_med, mm_mean, mm_med = [], [], [], []
     for n, p, dim, scales in grid:
         chans = realize_bundle(ModelBundle.homogeneous("wgn", p), n, base_seed, 0)

@@ -458,6 +458,14 @@ class TestSurrogate:
             assert np.array_equal(np.sort(orig.channel(c)), np.sort(shuf.channel(c)))
             assert not np.array_equal(orig.channel(c), shuf.channel(c))
 
+    def test_empty_column_items(self, record, tmp_path, capsys):
+        out = tmp_path / "shuf.csv"
+        code, stdout, _ = run(capsys, "surrogate", "--input", str(record), "--columns", "1,,0",
+                              "--output", str(out))
+        assert code == 0
+        assert ("columns", "1,,0") in echoed(stdout)
+        assert load_record(out).channel_labels == load_record(record).channel_labels[::-1]
+
 
 class TestSweepAndBench:
     def test_sweep_writes_ensemble(self, tmp_path, capsys):
@@ -506,6 +514,18 @@ class TestSweepAndBench:
         assert run(capsys, *argv, "--values", "1,,2")[0] == 0
         rf = read_result(out)
         assert (rf.metadata["values"], [row[1] for row in rf.rows]) == ("1,,2", [1, 2])
+
+    def test_empty_model_items(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, stdout, _ = run(capsys, "sweep", "--vary", "r", "--values", "0.3", "--models",
+                              "wgn,,ar1", "--n", "100", "--realizations", "1",
+                              "--output", str(out))
+        assert code == 0
+        assert ("models", "wgn,,ar1") in echoed(stdout)
+        assert [row[0] for row in read_result(out).rows] == ["wgn", "ar1"]
+        redo = tmp_path / "redo.csv"
+        replay(out, redo)
+        assert out.read_bytes() == redo.read_bytes()
 
     def test_bench_writes_timing(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -853,8 +873,9 @@ class TestConfigEdges:
         (lambda text: text.replace("# r = 0.15\n", "# r = 0.1_5\n"), "--r"),
         (lambda text: text.replace("# columns = \n", "# columns = \u0661,0\n"),
          "--columns"),
+        (lambda text: text.replace("# m = 2\n", ""), "metadata has no m"),
     ], ids=["missing-required", "not-an-int", "nan", "not-a-bool", "below-low",
-            "int-underscore", "float-underscore", "non-ascii-index"])
+            "int-underscore", "float-underscore", "non-ascii-index", "missing-m"])
     def test_bad_replay_metadata_exits_2_naming_key(self, curve_file, tmp_path, capsys,
                                                      edit, named):
         text = curve_file.read_text()
@@ -936,11 +957,11 @@ _LEAST = {"compute": [], "surrogate": [], "generate": ["--kind", "wgn", "--n", "
 class TestOptionsCheckedFirst:
     """Every option is converted and checked before the echo and before the record is read."""
 
-    def run_on_a_malformed_record(self, tmp_path, capsys, command, *argv):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,oops\n")
+    def run_on_a_malformed_record(self, tmp_path, capsys, command, *argv, record="bad.csv"):
+        """Run with --input record in tmp_path: bad.csv is malformed, another name missing."""
+        (tmp_path / "bad.csv").write_text("a,b\n1,oops\n")
         if any(opt.key == "input" for opt in _COMMANDS[command].options):
-            argv += ("--input", str(bad))
+            argv += ("--input", str(tmp_path / record))
         out = tmp_path / "out.csv"
         code, stdout, stderr = run(capsys, command, *_LEAST[command], *argv,
                                    "--output", str(out))
@@ -971,3 +992,34 @@ class TestOptionsCheckedFirst:
         code, stderr = self.run_on_a_malformed_record(tmp_path, capsys, command, *argv)
         assert code == 2
         assert stderr.startswith("error: " + argv[0])
+
+    @pytest.mark.parametrize("command, argv, message, record", [
+        pytest.param(command, argv, message, record, id="%s-%s" % (name, record[:-4]))
+        for name, command, argv, message in [
+            ("mmse-normalize", "compute", ["--estimator", "mmse", "--normalize"],
+             "mmse does not take --normalize"),
+            ("mmse-per-scale", "compute", ["--estimator", "mmse", "--per-scale-tolerance"],
+             "mmse does not take --per-scale-tolerance"),
+            ("mmse-equal-count", "compute", ["--estimator", "mmse", "--equal-template-count"],
+             "mmse does not take --equal-template-count"),
+            ("falling-scales", "compute", ["--scales", "3,1"],
+             "scales must be strictly increasing and >= 1"),
+            ("no-column", "compute", ["--columns", ","], "--columns: empty value list ','"),
+            ("sweep-fractional-m", "sweep", ["--vary", "m", "--values", "1.5,2"],
+             "m values must be whole numbers"),
+            ("sweep-scale-0", "sweep", ["--vary", "scale", "--values", "0,1"],
+             "scales must be strictly increasing and >= 1"),
+            ("sweep-falling-r", "sweep", ["--vary", "r", "--values", "0.2,0.1"],
+             "sweep_values must be strictly increasing"),
+            ("sweep-m-0", "sweep", ["--vary", "m", "--values", "0,1"], "m must be >= 1, got 0"),
+            ("sweep-n-0", "sweep", ["--vary", "N", "--values", "0,5"],
+             "n_samples must be >= 1, got 0"),
+            ("bench-m-0", "bench", ["--vary", "m", "--values", "0"], "m must be >= 1, got 0"),
+            ("bench-fractional-scale", "bench", ["--vary", "scale", "--values", "2.5"],
+             "scale values must be whole numbers"),
+        ] for record in ("bad.csv", "missing.csv")[:2 if command == "compute" else 1]])
+    def test_a_library_check_wins_over_a_record_error(self, tmp_path, capsys, command, argv,
+                                                      message, record):
+        code, stderr = self.run_on_a_malformed_record(tmp_path, capsys, command, *argv,
+                                                      record=record)
+        assert (code, stderr) == (2, "error: %s\n" % (message,))

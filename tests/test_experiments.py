@@ -111,7 +111,8 @@ class TestRunSweep:
         ("r", [0.0, 0.1], "r must be > 0, got 0.0"),
         ("r", [0.2, float("inf")], "r must be finite, got inf"),
         ("m", [0, 1], "m must be >= 1, got 0"),
-    ], ids=["r", "r-inf", "m"])
+        ("N", [0, 50], "n_samples must be >= 1, got 0"),
+    ], ids=["r", "r-inf", "m", "N"])
     def test_bad_swept_value_refused_before_any_count(self, monkeypatch, vary, values, message):
         # the spec refuses it, so nothing is drawn or counted
         draws = _spy(monkeypatch, experiments, "realize_bundle")
