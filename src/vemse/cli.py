@@ -276,7 +276,8 @@ def _values(cfg: dict):
 
 def _check_call(command: str, values: dict) -> None:
     """Make the checks of the command's library call before the echo and before any
-    record is opened or drawn; a sweep keeps the SweepSpec it builds for run_sweep."""
+    record is opened or drawn; a sweep keeps the SweepSpec it builds for run_sweep,
+    and generate the ModelBundle it draws."""
     if command == "compute":
         experiments._estimate_params(values["estimator"], values["m"], values["L"],
                                      values["scales"], values, _flag_name)
@@ -289,6 +290,9 @@ def _check_call(command: str, values: dict) -> None:
                      for kind in values["models"]],
             m=values["m"], r=values["r"], lag=values["L"], n_samples=values["n"],
             tau=values["tau"], realizations=values["realizations"], base_seed=values["seed"])
+    elif command == "generate":
+        values["bundle"] = experiments.ModelBundle.homogeneous(values["kind"], values["channels"])
+        whole_number(values["n"], "--n", low=values["bundle"].least_n())
     elif command == "bench":
         experiments._timing_grid(values["vary"], values["values"], values["n"],
                                  values["channels"], values["m"], values["tau"], values["r"])
@@ -319,9 +323,9 @@ def run_sweep(values: dict, cfg: dict) -> ResultFile:
 
 
 def run_generate(values: dict, cfg: dict) -> ResultFile:
-    bundle = experiments.ModelBundle.homogeneous(values["kind"], values["channels"])
     with np.errstate(over="ignore"):  # MultichannelSeries refuses the non-finite samples
-        data = values["sd"] * experiments.realize_bundle(bundle, values["n"], values["seed"], 0)
+        data = values["sd"] * experiments.realize_bundle(values["bundle"], values["n"],
+                                                         values["seed"], 0)
     return record_to_resultfile(MultichannelSeries(data), metadata=cfg)
 
 

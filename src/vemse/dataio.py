@@ -10,7 +10,8 @@ Files are read in binary: the data rows stay one bytes block until they
 are parsed (records, by np.loadtxt) or split into cells (read_result).
 Rows are written a chunk of _CHUNK at a time, so a record's rows can stay
 its (n, P) float array and a read or write holds no Python object per
-sample.
+sample; an array chunk is formatted by one "%" of a "%r,...,%r" row
+template, which writes each float as repr() does.
 
 The *_to_resultfile converters write the metadata their caller passes;
 the curve, ensemble and timing ones add only a "kind" key (curves also
@@ -58,7 +59,7 @@ class ResultFile:
     """A metadata block plus a rectangular table of cells.
 
     Cells are int, float, str, or None (undefined). rows is a list of
-    lists, or a 2-D float array (record_to_resultfile's, a view of the
+    lists, or a 2-D float64 array (record_to_resultfile's, a view of the
     channels), which write_result writes a chunk at a time; read_result
     always gives lists. The metadata is what the writer's caller passed;
     a file written by the CLI holds every option of its run, so it can be
@@ -109,11 +110,14 @@ def _unwritable(result: ResultFile):
             return "column label %r holds a comma or a line break" % (label,)
     if result.columns and result.columns[0].startswith("#"):
         return "first column label %r would read back as metadata" % (result.columns[0],)
+    rows = result.rows  # %r writes what _format_cell does only for float64 cells
+    if isinstance(rows, np.ndarray) and (rows.ndim != 2 or rows.dtype != np.float64):
+        return "array rows must be 2-D float64, got %d-D %s" % (rows.ndim, rows.dtype)
     return None
 
 
 # Rows formatted per fh.write. Writing holds one chunk's Python floats and
-# strings, about 0.4 MiB for 4 columns; larger chunks write no faster.
+# its text, about 0.2 MiB for 4 columns; larger chunks write no faster.
 _CHUNK = 1024
 
 
@@ -123,9 +127,9 @@ def write_result(result: ResultFile, path) -> None:
     A metadata key or value with a line break or leading or trailing
     whitespace, a metadata key with "=", a column label with a comma or a
     line break, and a first label starting with "#" would not read back,
-    so they raise VemseError and nothing is written. Rows go out _CHUNK
-    at a time, so writing holds Python cells for one chunk, whatever the
-    table's length.
+    so they raise VemseError and nothing is written; so do array rows
+    that are not 2-D float64. Rows go out _CHUNK at a time, so writing
+    holds Python cells for one chunk, whatever the table's length.
     """
     problem = _unwritable(result)
     if problem is not None:
@@ -138,9 +142,11 @@ def write_result(result: ResultFile, path) -> None:
             fh.write(",".join(result.columns) + "\n")
             for start in range(0, len(rows), _CHUNK):
                 chunk = rows[start:start + _CHUNK]
-                if isinstance(chunk, np.ndarray):
-                    chunk = chunk.tolist()
-                fh.write("".join([",".join(map(_format_cell, row)) + "\n" for row in chunk]))
+                if isinstance(chunk, np.ndarray):  # float64: %r is _format_cell's repr(float)
+                    row = ",".join(["%r"] * chunk.shape[1]) + "\n"
+                    fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+                else:
+                    fh.write("".join([",".join(map(_format_cell, row)) + "\n" for row in chunk]))
     except OSError as exc:
         raise VemseError("cannot write %s: %s" % (path, exc)) from exc
 

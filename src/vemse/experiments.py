@@ -31,6 +31,7 @@ from .series import (
     whole_number,
 )
 from .signals import (
+    _FLICKER_LEAST_N,
     AR1,
     AR2,
     AR3,
@@ -101,6 +102,11 @@ class ModelBundle:
     def homogeneous(cls, kind: str, channels: int = 2) -> "ModelBundle":
         return cls(name=kind, kinds=[kind] * channels)
 
+    def least_n(self) -> int:
+        """The fewest samples per channel that realize_bundle can draw."""
+        drawn = {*self.kinds, self.noise_kind if self.noise_ratio > 0 else None}
+        return _FLICKER_LEAST_N if drawn & {"flicker", "flicker+wgn"} else 1
+
 
 def realize_bundle(bundle: ModelBundle, n: int, base_seed: int, k: int) -> np.ndarray:
     """Channels (P, N) for realization k of a bundle."""
@@ -158,6 +164,9 @@ class SweepSpec:
                           scales=v if vary == "scale" else [self.tau])
             if vary == "N":
                 whole_number(v, "n_samples", low=1)
+        least = max(b.least_n() for b in self.bundles)
+        for n in self.sweep_values if vary == "N" else [self.n_samples]:
+            whole_number(n, "n_samples", low=least)
 
 
 @dataclass

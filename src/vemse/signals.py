@@ -69,6 +69,11 @@ def generate_wgn(n: int, sd: float = 1.0, seed=0) -> np.ndarray:
     return _rescale(x, sd)
 
 
+# The fewest samples generate_flicker draws: one sample has only the DC
+# bin, which the shaping zeroes.
+_FLICKER_LEAST_N = 2
+
+
 def generate_flicker(n: int, sd: float = 1.0, seed=0) -> np.ndarray:
     """1/f (flicker) noise by spectral shaping of white Gaussian noise.
 
@@ -76,7 +81,7 @@ def generate_flicker(n: int, sd: float = 1.0, seed=0) -> np.ndarray:
     zeroed, giving a power spectrum proportional to 1/f, then inverted
     and rescaled to the exact sample SD.
     """
-    n, sd = whole_number(n, "n", low=2), real_number(sd, "sd")
+    n, sd = whole_number(n, "n", low=_FLICKER_LEAST_N), real_number(sd, "sd")
     white = np.random.default_rng(seed).standard_normal(n)
     spec = np.fft.rfft(white)
     spec[0] = 0.0

@@ -1017,6 +1017,14 @@ class TestOptionsCheckedFirst:
             ("bench-m-0", "bench", ["--vary", "m", "--values", "0"], "m must be >= 1, got 0"),
             ("bench-fractional-scale", "bench", ["--vary", "scale", "--values", "2.5"],
              "scale values must be whole numbers"),
+            ("generate-flicker-n-1", "generate", ["--kind", "flicker", "--n", "1"],
+             "--n must be >= 2, got 1"),
+            ("generate-flicker+wgn-n-1", "generate", ["--kind", "flicker+wgn", "--n", "1"],
+             "--n must be >= 2, got 1"),
+            ("sweep-flicker-n-1", "sweep", ["--models", "flicker", "--n", "1"],
+             "n_samples must be >= 2, got 1"),
+            ("sweep-flicker-N-1", "sweep", ["--models", "wgn,flicker+wgn", "--vary", "N",
+                                            "--values", "1,5"], "n_samples must be >= 2, got 1"),
         ] for record in ("bad.csv", "missing.csv")[:2 if command == "compute" else 1]])
     def test_a_library_check_wins_over_a_record_error(self, tmp_path, capsys, command, argv,
                                                       message, record):

@@ -212,6 +212,15 @@ class TestRecords:
         with pytest.raises(RecordParseError):
             load_record(path)
 
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_a_compressor_suffix_is_only_a_name(self, tmp_path, suffix):
+        # a plain-text record is read as text whatever its name ends with
+        text = "# sample_rate_hz = 4\na,b\n1,2\n3.5,-4e-3\n"
+        plain = load_record(self.make_record(tmp_path, text))
+        named = load_record(self.make_record(tmp_path, text, "rec.csv" + suffix))
+        assert named.channels.tobytes() == plain.channels.tobytes()
+        assert (named.channel_labels, named.sample_rate_hz) == (["a", "b"], 4.0)
+
     def test_rows_read_back_bit_exact_at_float_edges(self, tmp_path):
         series = MultichannelSeries(np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]]))
         path = tmp_path / "edges.csv"
@@ -275,6 +284,24 @@ class TestRecordMemory:
 samples = st.one_of(st.sampled_from(EDGE_FLOATS),
                     st.floats(allow_nan=False, allow_infinity=False),
                     st.integers(-10 ** 6, 10 ** 6).map(float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda p: st.lists(st.lists(samples, min_size=p, max_size=p), min_size=1, max_size=40)))
+def test_array_and_list_tables_write_alike(rows):
+    # the array branch's one "%" per chunk writes the bytes of _format_cell's
+    table = np.array(rows)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for chunk in (1, 3, dataio._CHUNK):
+            mp.setattr(dataio, "_CHUNK", chunk)
+            written = []
+            for k, table_rows in enumerate([table, rows]):
+                path = Path(tmp) / ("rows%d.csv" % k)
+                write_result(ResultFile(columns=["c%d" % i for i in range(table.shape[1])],
+                                        rows=table_rows), path)
+                written.append(path.read_bytes())
+            assert written[0] == written[1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,6 +503,9 @@ class TestResultCells:
         ResultFile(metadata={"k ": "v"}, columns=["a"], rows=[[1]]),
         ResultFile(metadata={"k": "1..3 "}, columns=["a"], rows=[[1]]),
         ResultFile(metadata={"k": "\tv"}, columns=["a"], rows=[[1]]),
+        # %r would write "None" for an empty cell, and numpy's repr of a float32
+        ResultFile(columns=["a", "b"], rows=np.array([[1.5, None]], dtype=object)),
+        ResultFile(columns=["a"], rows=np.array([[0.1]], dtype=np.float32)),
     ])
     def test_writer_refuses_what_it_cannot_read_back(self, tmp_path, rf):
         path = tmp_path / "r.csv"

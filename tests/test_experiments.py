@@ -122,6 +122,26 @@ class TestRunSweep:
         assert str(err.value) == message
         assert draws == [] and counts == []
 
+    @pytest.mark.parametrize("bundle, vary, values, least", [
+        (ModelBundle.homogeneous("flicker"), "scale", [1], 2),
+        (ModelBundle.homogeneous("flicker+wgn"), "N", [1, 5], 2),
+        (ModelBundle("w", ["wgn"], "flicker", 0.5), "scale", [1], 2),
+        (ModelBundle("w", ["wgn"], "flicker", 0.0), "scale", [1], 1),
+        (ModelBundle.homogeneous("ar1"), "N", [1, 5], 1),
+    ], ids=["flicker", "flicker+wgn-swept", "flicker-noise", "unmixed-noise", "ar1"])
+    def test_flicker_least_length_is_checked_before_any_draw(self, monkeypatch, bundle, vary,
+                                                             values, least):
+        # one sample is refused where a flicker channel would be drawn from it
+        assert bundle.least_n() == least
+        draws = _spy(monkeypatch, experiments, "realize_bundle")
+        spec = dict(swept_parameter=vary, sweep_values=values, bundles=[bundle], n_samples=1)
+        if least == 1:
+            small_spec(**spec)
+        else:
+            with pytest.raises(InvalidParameterError, match=r"^n_samples must be >= 2, got 1$"):
+                small_spec(**spec)
+        assert draws == []
+
     @pytest.mark.parametrize("estimator", ["vemse", "mse", "sampen"])
     def test_r_sweep_counts_each_realization_once(self, monkeypatch, estimator):
         # 15 radii x 2 models x 3 realizations: one pair count per draw
